@@ -7,10 +7,11 @@
 //! * ideal:        `v⁺ + V_os − v⁻ = 0`
 //! * finite gain:  `v_out − A·(v⁺ + V_os − v⁻) = 0`
 
-use gramc_linalg::{LuDecomposition, Matrix};
+use gramc_linalg::Matrix;
 
 use crate::error::CircuitError;
 use crate::netlist::{Circuit, Node};
+use crate::sparse::SparseLu;
 
 /// Solution of a DC operating-point analysis.
 #[derive(Debug, Clone)]
@@ -56,13 +57,27 @@ enum OpampStamping {
 
 /// A pre-assembled, pre-factored MNA operator.
 ///
-/// Assembling the nodal matrix and LU-factoring it is O(n²)+O(n³); the
-/// right-hand side is O(n). Workloads that solve the *same* resistive
-/// network under many excitations — the macro auto-ranging loops, the
-/// transient integrator, repeated reads in write-verify — should factor
-/// once with [`DcOperator::new`] and then call
-/// [`solve_circuit`](Self::solve_circuit) (or the raw RHS entry points) per
-/// excitation. [`dc_solve`] remains the one-shot convenience wrapper.
+/// The circuit's elements are stamped straight into sparse rows and
+/// factored by sparse elimination in Markowitz order with threshold partial
+/// pivoting: op-amp output currents first (column singletons, so no fill),
+/// then op-amp constraint rows and inverter nodes (two or three entries
+/// each). Elimination stops once the cheapest admissible pivot would cost
+/// more than the unknowns left, and that remaining block — the unknowns
+/// the crossbar couples — is factored by the dense
+/// [`LuDecomposition`](gramc_linalg::LuDecomposition). For an `n×n`
+/// INV or EGV circuit the dense core holds the `n` solution nodes; for an
+/// `m×n` PINV circuit it holds the `m + n` residual and solution nodes; an
+/// MVM circuit (open loop) and the transient engine's pinned-output
+/// network leave no core at all. A solve runs sparse L, dense core, sparse
+/// U. Read noise changes the matrix values on every read, so the
+/// elimination order is chosen afresh for every factorization.
+///
+/// Workloads that solve the *same* resistive network under many
+/// excitations — the macro auto-ranging loops, the transient integrator,
+/// repeated reads in write-verify — should factor once with
+/// [`DcOperator::new`] and then call [`solve_circuit`](Self::solve_circuit)
+/// (or the raw RHS entry points) per excitation. [`dc_solve`] remains the
+/// one-shot convenience wrapper.
 ///
 /// The factorization captures the circuit *topology and element values that
 /// enter the matrix*: conductances, source/op-amp connectivity and op-amp
@@ -72,7 +87,7 @@ enum OpampStamping {
 #[derive(Debug, Clone)]
 pub struct DcOperator {
     /// `None` for the empty circuit (trivial solution).
-    lu: Option<LuDecomposition>,
+    lu: Option<SparseLu>,
     nv: usize,
     nvs: usize,
     nop: usize,
@@ -86,6 +101,129 @@ fn idx(n: Node) -> Option<usize> {
     } else {
         Some(n.index() - 1)
     }
+}
+
+/// Stamps every element of `circuit` into its MNA matrix, one
+/// `add(row, col, value)` per contribution, in element order.
+fn stamp(circuit: &Circuit, stamping: OpampStamping, mut add: impl FnMut(usize, usize, f64)) {
+    let nv = circuit.node_count - 1;
+    let nvs = circuit.voltage_sources.len();
+    for e in &circuit.conductances {
+        if e.g == 0.0 {
+            continue;
+        }
+        match (idx(e.a), idx(e.b)) {
+            (Some(i), Some(j)) => {
+                add(i, i, e.g);
+                add(j, j, e.g);
+                add(i, j, -e.g);
+                add(j, i, -e.g);
+            }
+            (Some(i), None) | (None, Some(i)) => add(i, i, e.g),
+            (None, None) => {}
+        }
+    }
+
+    // Voltage sources: branch current unknown k flows from `plus`
+    // through the external circuit (i.e. it is supplied into `plus`).
+    for (k, e) in circuit.voltage_sources.iter().enumerate() {
+        let col = nv + k;
+        if let Some(i) = idx(e.plus) {
+            add(i, col, 1.0);
+            add(col, i, 1.0);
+        }
+        if let Some(i) = idx(e.minus) {
+            add(i, col, -1.0);
+            add(col, i, -1.0);
+        }
+    }
+
+    // Op-amps: output branch current + constraint row.
+    for (k, e) in circuit.opamps.iter().enumerate() {
+        let col = nv + nvs + k;
+        let out = idx(e.out);
+        if let Some(i) = out {
+            add(i, col, 1.0);
+        }
+        match stamping {
+            // Output node pinned to the state value (symmetric
+            // voltage-source stamp).
+            OpampStamping::PinnedOutputs => {
+                if let Some(i) = out {
+                    add(col, i, 1.0);
+                }
+            }
+            OpampStamping::Behavioural => match e.model.gain {
+                None => {
+                    // Ideal: v+ + offset - v- = 0.
+                    if let Some(i) = idx(e.inp) {
+                        add(col, i, 1.0);
+                    }
+                    if let Some(i) = idx(e.inn) {
+                        add(col, i, -1.0);
+                    }
+                }
+                Some(gain) => {
+                    // v_out - A (v+ + offset - v-) = 0.
+                    if let Some(i) = out {
+                        add(col, i, 1.0);
+                    }
+                    if let Some(i) = idx(e.inp) {
+                        add(col, i, -gain);
+                    }
+                    if let Some(i) = idx(e.inn) {
+                        add(col, i, gain);
+                    }
+                }
+            },
+        }
+    }
+}
+
+/// Stamps `circuit` into sparse rows of distinct columns. Repeated stamps
+/// of one position sum in element order, as in a dense assembly; the
+/// diagonal comes last in its row.
+fn assemble(circuit: &Circuit, stamping: OpampStamping, dim: usize) -> Vec<Vec<(usize, f64)>> {
+    // One pass sizes every row, the next fills it. Diagonal stamps (both
+    // ends of every conductance) sum in place.
+    let mut len = vec![1; dim];
+    stamp(circuit, stamping, |i, j, _| len[i] += usize::from(i != j));
+    let mut rows: Vec<Vec<(usize, f64)>> = len.into_iter().map(Vec::with_capacity).collect();
+    let mut diag = vec![0.0; dim];
+    stamp(circuit, stamping, |i, j, v| {
+        if i == j {
+            diag[i] += v;
+        } else if v != 0.0 {
+            rows[i].push((j, v));
+        }
+    });
+
+    // Fold repeated stamps onto their first occurrence: `first[j]` holds
+    // the (row, position) of column j's latest first stamp.
+    let mut first = vec![(usize::MAX, 0); dim];
+    for (i, row) in rows.iter_mut().enumerate() {
+        let mut n = 0;
+        let mut folded = false;
+        for k in 0..row.len() {
+            let (j, v) = row[k];
+            if first[j].0 == i {
+                row[first[j].1].1 += v;
+                folded = true;
+            } else {
+                first[j] = (i, n);
+                row[n] = (j, v);
+                n += 1;
+            }
+        }
+        row.truncate(n);
+        if folded {
+            row.retain(|e| e.1 != 0.0);
+        }
+        if diag[i] != 0.0 {
+            row.push((i, diag[i]));
+        }
+    }
+    rows
 }
 
 impl DcOperator {
@@ -119,79 +257,8 @@ impl DcOperator {
         if dim == 0 {
             return Ok(Self { lu: None, nv, nvs, nop, stamping });
         }
-        let mut a = Matrix::zeros(dim, dim);
-
-        for e in &circuit.conductances {
-            if e.g == 0.0 {
-                continue;
-            }
-            match (idx(e.a), idx(e.b)) {
-                (Some(i), Some(j)) => {
-                    a[(i, i)] += e.g;
-                    a[(j, j)] += e.g;
-                    a[(i, j)] -= e.g;
-                    a[(j, i)] -= e.g;
-                }
-                (Some(i), None) | (None, Some(i)) => a[(i, i)] += e.g,
-                (None, None) => {}
-            }
-        }
-
-        // Voltage sources: branch current unknown k flows from `plus`
-        // through the external circuit (i.e. it is supplied into `plus`).
-        for (k, e) in circuit.voltage_sources.iter().enumerate() {
-            let col = nv + k;
-            if let Some(i) = idx(e.plus) {
-                a[(i, col)] += 1.0;
-                a[(col, i)] += 1.0;
-            }
-            if let Some(i) = idx(e.minus) {
-                a[(i, col)] -= 1.0;
-                a[(col, i)] -= 1.0;
-            }
-        }
-
-        // Op-amps: output branch current + constraint row.
-        for (k, e) in circuit.opamps.iter().enumerate() {
-            let col = nv + nvs + k;
-            if let Some(i) = idx(e.out) {
-                a[(i, col)] += 1.0;
-            }
-            match stamping {
-                OpampStamping::PinnedOutputs => {
-                    // Output node pinned to the state value (symmetric
-                    // voltage-source stamp).
-                    if let Some(i) = idx(e.out) {
-                        a[(col, i)] += 1.0;
-                    }
-                }
-                OpampStamping::Behavioural => match e.model.gain {
-                    None => {
-                        // Ideal: v+ + offset - v- = 0.
-                        if let Some(i) = idx(e.inp) {
-                            a[(col, i)] += 1.0;
-                        }
-                        if let Some(i) = idx(e.inn) {
-                            a[(col, i)] -= 1.0;
-                        }
-                    }
-                    Some(gain) => {
-                        // v_out - A (v+ + offset - v-) = 0.
-                        if let Some(i) = idx(e.out) {
-                            a[(col, i)] += 1.0;
-                        }
-                        if let Some(i) = idx(e.inp) {
-                            a[(col, i)] -= gain;
-                        }
-                        if let Some(i) = idx(e.inn) {
-                            a[(col, i)] += gain;
-                        }
-                    }
-                },
-            }
-        }
-
-        let lu = LuDecomposition::new(&a).map_err(CircuitError::from)?;
+        let rows = assemble(circuit, stamping, dim);
+        let lu = SparseLu::new(dim, rows).map_err(CircuitError::from)?;
         Ok(Self { lu: Some(lu), nv, nvs, nop, stamping })
     }
 
@@ -286,8 +353,11 @@ impl DcOperator {
 
     /// Multi-RHS solve: each column of `rhs` is one excitation, each column
     /// of the result is the corresponding raw MNA solution vector. All
-    /// columns share the factorization and substitute together through
-    /// [`LuDecomposition::solve_matrix`].
+    /// columns share the factorization and substitute together (the dense
+    /// core through [`LuDecomposition::solve_matrix`]); every column matches
+    /// [`solve_rhs`](Self::solve_rhs) bit for bit.
+    ///
+    /// [`LuDecomposition::solve_matrix`]: gramc_linalg::LuDecomposition::solve_matrix
     ///
     /// # Errors
     ///
@@ -347,6 +417,7 @@ pub fn dc_solve(circuit: &Circuit) -> Result<DcSolution, CircuitError> {
 mod tests {
     use super::*;
     use crate::netlist::OpampModel;
+    use crate::topology;
 
     #[test]
     fn voltage_divider() {
@@ -548,5 +619,153 @@ mod tests {
         assert!(i_sum.abs() < 1e-15, "KCL residual {i_sum}");
         let i_sum_m = (vn - vm) * 2e-3 - vm * 2e-3;
         assert!(i_sum_m.abs() < 1e-15);
+    }
+
+    /// The whole-matrix assembly: the reference the cross-checks factor
+    /// with the dense `LuDecomposition`.
+    fn dense_mna(circuit: &Circuit, stamping: OpampStamping) -> Matrix {
+        let dim = circuit.node_count - 1 + circuit.voltage_sources.len() + circuit.opamps.len();
+        let mut a = Matrix::zeros(dim, dim);
+        stamp(circuit, stamping, |i, j, v| a[(i, j)] += v);
+        a
+    }
+
+    fn assert_close(got: &[f64], want: &[f64], what: &str) {
+        let scale = want.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        let err = got.iter().zip(want).fold(0.0_f64, |m, (g, w)| m.max((g - w).abs()));
+        assert!(err <= 1e-9 * scale, "{what}: error {err:e} against scale {scale:e}");
+    }
+
+    /// Solves `circuit` through `DcOperator` and through a dense LU of its
+    /// whole MNA matrix, for three excitations one at a time and as one
+    /// multi-RHS batch. Node voltages and branch currents must agree to
+    /// 1e-9 relative, and the batch must match the single solves bit for
+    /// bit. Returns the size of the operator's dense core.
+    fn cross_check(circuit: &Circuit, stamping: OpampStamping) -> usize {
+        let op = DcOperator::build(circuit, stamping).unwrap();
+        let dense = gramc_linalg::LuDecomposition::new(&dense_mna(circuit, stamping)).unwrap();
+        let (dim, nv) = (op.dim(), op.unknown_nodes());
+        // A current into every node, and volts on the source and op-amp
+        // rows (source values, op-amp offsets or pinned states).
+        let rhs = Matrix::from_fn(dim, 3, |i, k| {
+            let t = (7 * i + 13 * k) as f64;
+            if i < nv {
+                1e-6 * t.sin()
+            } else {
+                0.1 * t.cos()
+            }
+        });
+        let batch = op.solve_rhs_matrix(&rhs).unwrap();
+        for k in 0..3 {
+            let want = dense.solve(&rhs.col(k)).unwrap();
+            let sol = op.solve_rhs(&rhs.col(k)).unwrap();
+            assert_close(&sol.node_voltages[1..], &want[..nv], "node voltages");
+            assert_close(&sol.branch_currents, &want[nv..], "branch currents");
+            let got = sol.node_voltages[1..].iter().chain(&sol.branch_currents);
+            for (i, v) in got.enumerate() {
+                assert_eq!(v.to_bits(), batch[(i, k)].to_bits(), "batch column {k}, row {i}");
+            }
+        }
+        op.lu.as_ref().map_or(0, SparseLu::core_dim)
+    }
+
+    /// A 4-bit differential conductance pair for `a` (1–100 µS).
+    fn pair(a: &Matrix) -> (Matrix, Matrix) {
+        let scale = a.max_abs();
+        let level = |v: f64| 1e-6 + 6.6e-6 * (15.0 * v.max(0.0) / scale).round();
+        (a.map(level), a.map(|v| level(-v)))
+    }
+
+    /// Both op-amp flavours: ideal, and finite gain with per-amp offsets.
+    fn with_models(build: impl Fn(OpampModel) -> Circuit) -> [Circuit; 2] {
+        let mut finite = build(OpampModel::with_gain(1e4));
+        for (k, id) in finite.opamp_ids().into_iter().enumerate() {
+            let m = finite.opamp_model(id);
+            finite.set_opamp_model(id, m.offset(1e-4 * (k as f64).sin()));
+        }
+        [build(OpampModel::ideal()), finite]
+    }
+
+    /// Cross-checks both stamping modes; the pinned-output network (the
+    /// transient engine's) must leave no dense core.
+    fn check_both(circuit: &Circuit) -> usize {
+        assert_eq!(cross_check(circuit, OpampStamping::PinnedOutputs), 0);
+        cross_check(circuit, OpampStamping::Behavioural)
+    }
+
+    #[test]
+    fn sparse_factorization_matches_dense_lu_on_mvm() {
+        let mut rng = gramc_linalg::random::seeded_rng(1);
+        for (rows, cols) in [(4, 3), (8, 8), (32, 32)] {
+            let (gp, gn) = pair(&gramc_linalg::random::gaussian_matrix(&mut rng, rows, cols));
+            let v_in: Vec<f64> = (0..cols).map(|j| 0.1 * (j as f64).cos()).collect();
+            for c in
+                with_models(|m| topology::build_mvm(&gp, &gn, &v_in, 50e-6, m).unwrap().circuit)
+            {
+                assert_eq!(check_both(&c), 0, "open-loop MVM needs no dense core");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_factorization_matches_dense_lu_on_inv() {
+        let mut rng = gramc_linalg::random::seeded_rng(2);
+        for n in [4, 16, 32] {
+            let a = gramc_linalg::random::spd_with_condition(&mut rng, n, 4.0);
+            let (gp, gn) = pair(&a);
+            let i_in = vec![1e-6; n];
+            for c in with_models(|m| topology::build_inv(&gp, &gn, &i_in, m).unwrap().circuit) {
+                let core = check_both(&c);
+                assert!(core <= n, "INV {n}×{n}: dense core {core}");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_factorization_matches_dense_lu_on_pinv() {
+        let mut rng = gramc_linalg::random::seeded_rng(3);
+        for (rows, cols) in [(6, 3), (16, 8), (64, 32)] {
+            let (gp, gn) = pair(&gramc_linalg::random::gaussian_matrix(&mut rng, rows, cols));
+            let i_b = vec![1e-6; rows];
+            for c in
+                with_models(|m| topology::build_pinv(&gp, &gn, &i_b, 50e-6, m).unwrap().circuit)
+            {
+                let core = check_both(&c);
+                assert!(core <= rows + cols, "PINV {rows}×{cols}: dense core {core}");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_factorization_matches_dense_lu_on_egv() {
+        let mut rng = gramc_linalg::random::seeded_rng(4);
+        for n in [4, 16] {
+            let (gp, gn) = pair(&gramc_linalg::random::gram(&mut rng, n, 2 * n));
+            for c in with_models(|m| topology::build_egv(&gp, &gn, 200e-6, m).unwrap().circuit) {
+                let core = check_both(&c);
+                assert!(core <= n, "EGV {n}×{n}: dense core {core}");
+            }
+        }
+    }
+
+    #[test]
+    fn opamp_with_unconnected_inputs_is_singular() {
+        let mut c = Circuit::new();
+        let (inp, inn, out) = (c.node(), c.node(), c.node());
+        c.conductance(out, Circuit::GROUND, 1e-3);
+        c.opamp(inp, inn, out, OpampModel::ideal());
+        assert!(matches!(dc_solve(&c), Err(CircuitError::SingularSystem)));
+        c.set_opamp_model(c.opamp_ids()[0], OpampModel::with_gain(1e4));
+        assert!(matches!(dc_solve(&c), Err(CircuitError::SingularSystem)));
+    }
+
+    #[test]
+    fn parallel_voltage_sources_are_singular() {
+        let mut c = Circuit::new();
+        let n = c.node();
+        c.voltage_source(n, Circuit::GROUND, 1.0);
+        c.voltage_source(n, Circuit::GROUND, 1.0);
+        c.conductance(n, Circuit::GROUND, 1e-3);
+        assert!(matches!(dc_solve(&c), Err(CircuitError::SingularSystem)));
     }
 }

@@ -5,6 +5,13 @@
 //! operating-point solver and a single-pole transient engine with output
 //! saturation.
 //!
+//! MNA systems are stamped into sparse rows and factored by sparse
+//! elimination ([`DcOperator`]): op-amp currents, op-amp constraint rows and
+//! inverter nodes go first, and `gramc-linalg`'s dense `LuDecomposition`
+//! factors only the block the crossbar couples — the `n` solution nodes of
+//! an `n×n` INV circuit, the `m + n` residual and solution nodes of an
+//! `m×n` PINV circuit.
+//!
 //! The crate's centerpiece is [`topology`]: builders for the four
 //! reconfigurable AMC circuit configurations of the paper — MVM, INV, PINV
 //! and EGV — wired from the same component inventory exactly as the
@@ -42,6 +49,7 @@ mod dc;
 mod error;
 pub mod export;
 mod netlist;
+mod sparse;
 pub mod topology;
 mod transient;
 

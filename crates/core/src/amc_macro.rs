@@ -862,7 +862,7 @@ impl MacroGroup {
     /// Multi-RHS linear-system solve on the INV configuration: every column
     /// of the batch shares one conductance read and one MNA factorization
     /// ([`DcOperator::solve_rhs_matrix`]), so `k` right-hand sides cost one
-    /// LU factorization plus `k` substitutions instead of `k` full solves.
+    /// factorization plus `k` substitutions instead of `k` full solves.
     ///
     /// Auto-ranging (the Fig. 3 verify/flag path) runs per column: a column
     /// whose output rails the ADC halves its injection scale α (volts of
@@ -890,223 +890,18 @@ impl MacroGroup {
         if op.info.planes != 2 {
             return Err(CoreError::InvalidArgument("INV requires a differential operator"));
         }
-        let n = op.info.rows;
-        for b in bs {
-            if b.len() != n {
-                return Err(CoreError::ShapeMismatch { expected: n, found: b.len() });
-            }
-        }
-        if bs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (scale, planes) = (op.info.scale, op.planes.clone());
-        self.configure_operator(id, MacroMode::Inv)?;
-
-        let dac = self.macros[planes[0].macro_id].dac;
-        let adc = self.macros[planes[0].macro_id].adc;
-        let c = self.quantizer.step() / scale;
-
-        // Per-column injection state: quantized b, its norm and the current
-        // ranging scale α (volts of output per matrix unit of x). Scanned
-        // before the conductance read so an all-zero batch — including
-        // every zero-b `solve_inv` call — short-circuits without touching
-        // the arrays or the RNG (matching `solve_pinv` and the zero-input
-        // `mvm` path).
-        let mut quantized: Vec<Vec<f64>> = Vec::with_capacity(bs.len());
-        let mut b_maxes = Vec::with_capacity(bs.len());
-        let mut alphas = Vec::with_capacity(bs.len());
-        let mut xs: Vec<Option<Vec<f64>>> = vec![None; bs.len()];
-        let mut active: Vec<usize> = Vec::new();
-        for (ci, b) in bs.iter().enumerate() {
-            let b_max = vector::norm_inf(b);
-            if b_max == 0.0 {
-                xs[ci] = Some(vec![0.0; n]);
-                quantized.push(Vec::new());
-                b_maxes.push(0.0);
-                alphas.push(0.0);
-                continue;
-            }
-            quantized
-                .push(b.iter().map(|&bi| dac.convert(bi / b_max) / self.config.v_read).collect());
-            b_maxes.push(b_max);
-            alphas.push(self.config.v_read / b_max);
-            active.push(ci);
-        }
-        if active.is_empty() {
-            return Ok(xs.into_iter().map(|x| x.expect("all columns zero")).collect());
-        }
-        // One DAC drive per element of every active injection column.
-        #[cfg(feature = "telemetry")]
-        self.telemetry.add_dac_drives((active.len() * n) as u64);
-
-        // One noisy conductance read shared by the whole batch (the
-        // mvm_batch contract: the array state cannot change mid-batch).
-        let g_pos = self.macros[planes[0].macro_id]
-            .array
-            .conductances(planes[0].region, &mut self.rng)
-            .map_err(CoreError::from)?;
-        let g_neg = self.macros[planes[1].macro_id]
-            .array
-            .conductances(planes[1].region, &mut self.rng)
-            .map_err(CoreError::from)?;
-        let model = self.opamp_model();
-
-        let zeros = vec![0.0; n];
-        let mut topo =
-            topology::build_inv(&g_pos, &g_neg, &zeros, model).map_err(CoreError::from)?;
-        for (k, opamp) in topo.circuit.opamp_ids().into_iter().enumerate() {
-            let m = topo.circuit.opamp_model(opamp);
-            let off = self.macros[planes[0].macro_id].opamp_offset(k);
-            topo.circuit.set_opamp_model(opamp, m.offset(off));
-        }
-        let dc_op = DcOperator::new(&topo.circuit).map_err(CoreError::from)?;
-
-        // Ranged multi-RHS substitution: all still-railing columns stack
-        // into one RHS matrix and substitute through the shared LU factors.
-        for _attempt in 0..8 {
-            if active.is_empty() {
-                break;
-            }
-            // Every ranging attempt settles the feedback loop once per
-            // still-active column, biasing both planes of the region.
-            #[cfg(feature = "telemetry")]
-            {
-                self.telemetry.add_solve_settles(active.len() as u64);
-                self.telemetry.add_read_cycles_solve((active.len() * 2 * n * n) as u64);
-            }
-            let mut rhs = Matrix::zeros(dc_op.dim(), active.len());
-            for (k, &ci) in active.iter().enumerate() {
-                for (&src, &qb) in topo.input_sources.iter().zip(&quantized[ci]) {
-                    topo.circuit.set_current(src, -c * alphas[ci] * b_maxes[ci] * qb);
-                }
-                let col = dc_op.rhs(&topo.circuit).map_err(CoreError::from)?;
-                for (i, v) in col.iter().enumerate() {
-                    rhs[(i, k)] = *v;
-                }
-            }
-            let sol = dc_op.solve_rhs_matrix(&rhs).map_err(CoreError::from)?;
-            let mut railed = Vec::new();
-            for (k, &ci) in active.iter().enumerate() {
-                // Raw MNA columns: node voltages occupy the leading rows,
-                // ground (index 0) is implicit.
-                let volts: Vec<f64> = topo
-                    .x_nodes
-                    .iter()
-                    .map(|node| match node.index() {
-                        0 => 0.0,
-                        i => sol[(i - 1, k)],
-                    })
-                    .collect();
-                let peak = volts.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-                if peak > 0.95 * adc.v_ref() {
-                    alphas[ci] *= 0.5;
-                    railed.push(ci);
-                } else {
-                    #[cfg(feature = "telemetry")]
-                    self.telemetry.add_adc_conversions(n as u64);
-                    xs[ci] = Some(
-                        volts
-                            .iter()
-                            .map(|&vx| adc.convert(vx) * adc.v_ref() / alphas[ci])
-                            .collect(),
-                    );
-                }
-            }
-            active = railed;
-        }
-        if !active.is_empty() {
-            return Err(CoreError::InvalidArgument(
-                "INV output railed the ADC at every ranging attempt",
-            ));
-        }
-        let out: Vec<Vec<f64>> =
-            xs.into_iter().map(|x| x.expect("every column solved or error returned")).collect();
-        self.macros[planes[0].macro_id].output_buffer = out.last().cloned().unwrap_or_default();
-        Ok(out)
+        self.ranged_solve_batch(id, bs, MacroMode::Inv)
     }
 
-    /// One-step least-squares solve `x = A⁺·b` on the PINV configuration.
+    /// One-step least-squares solve `x = A⁺·b` on the PINV configuration —
+    /// the single-RHS form of [`solve_pinv_batch`](Self::solve_pinv_batch).
     ///
     /// # Errors
     ///
     /// Shape/handle errors; [`CoreError::Circuit`] on singular netlists.
     pub fn solve_pinv(&mut self, id: OperatorId, b: &[f64]) -> Result<Vec<f64>, CoreError> {
-        let op = self.operator(id)?;
-        if op.info.planes != 2 {
-            return Err(CoreError::InvalidArgument("PINV requires a differential operator"));
-        }
-        if b.len() != op.info.rows {
-            return Err(CoreError::ShapeMismatch { expected: op.info.rows, found: b.len() });
-        }
-        let (scale, cols, planes) = (op.info.scale, op.info.cols, op.planes.clone());
-        self.configure_operator(id, MacroMode::Pinv)?;
-
-        let b_max = vector::norm_inf(b);
-        if b_max == 0.0 {
-            return Ok(vec![0.0; cols]);
-        }
-        let dac = self.macros[planes[0].macro_id].dac;
-        let adc = self.macros[planes[0].macro_id].adc;
-        let c = self.quantizer.step() / scale;
-
-        let g_pos = self.macros[planes[0].macro_id]
-            .array
-            .conductances(planes[0].region, &mut self.rng)
-            .map_err(CoreError::from)?;
-        let g_neg = self.macros[planes[1].macro_id]
-            .array
-            .conductances(planes[1].region, &mut self.rng)
-            .map_err(CoreError::from)?;
-        let g_f = c.clamp(self.quantizer.g_min(), self.quantizer.g_max());
-        let model = self.opamp_model();
-
-        // Auto-ranging exactly as in solve_inv: factor once, re-scale the
-        // injected currents per attempt.
-        let mut alpha = self.config.v_read / b_max;
-        let quantized_b: Vec<f64> =
-            b.iter().map(|&bi| dac.convert(bi / b_max) / self.config.v_read).collect();
-        #[cfg(feature = "telemetry")]
-        self.telemetry.add_dac_drives(b.len() as u64);
-        let i_b: Vec<f64> = quantized_b.iter().map(|&qb| -c * alpha * b_max * qb).collect();
-        let mut topo =
-            topology::build_pinv(&g_pos, &g_neg, &i_b, g_f, model).map_err(CoreError::from)?;
-        for (k, opamp) in topo.circuit.opamp_ids().into_iter().enumerate() {
-            let m = topo.circuit.opamp_model(opamp);
-            let off = self.macros[planes[0].macro_id].opamp_offset(k);
-            topo.circuit.set_opamp_model(opamp, m.offset(off));
-        }
-        let dc_op = DcOperator::new(&topo.circuit).map_err(CoreError::from)?;
-        let mut x = Vec::new();
-        for _attempt in 0..8 {
-            // One feedback-loop settle per ranging attempt, reading both
-            // planes of the full region.
-            #[cfg(feature = "telemetry")]
-            {
-                self.telemetry.add_solve_settles(1);
-                self.telemetry.add_read_cycles_solve((2 * b.len() * cols) as u64);
-            }
-            for (&src, &qb) in topo.input_sources.iter().zip(&quantized_b) {
-                topo.circuit.set_current(src, -c * alpha * b_max * qb);
-            }
-            let sol = dc_op.solve_circuit(&topo.circuit).map_err(CoreError::from)?;
-            let volts = sol.voltages(&topo.x_nodes);
-            let peak = volts.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-            if peak > 0.95 * adc.v_ref() {
-                alpha *= 0.5;
-                continue;
-            }
-            #[cfg(feature = "telemetry")]
-            self.telemetry.add_adc_conversions(cols as u64);
-            x = volts.iter().map(|&vx| adc.convert(vx) * adc.v_ref() / alpha).collect();
-            break;
-        }
-        if x.is_empty() {
-            return Err(CoreError::InvalidArgument(
-                "PINV output railed the ADC at every ranging attempt",
-            ));
-        }
-        self.macros[planes[0].macro_id].output_buffer = x.clone();
-        Ok(x)
+        let mut xs = self.solve_pinv_batch(id, &[b.to_vec()])?;
+        Ok(xs.pop().expect("one RHS in, one solution out"))
     }
 
     /// Multi-RHS least-squares solve on the PINV configuration — the twin
@@ -1114,7 +909,7 @@ impl MacroGroup {
     /// conductance read and one MNA factorization
     /// ([`DcOperator::solve_rhs_matrix`]); auto-ranging runs per column with
     /// railed columns re-substituted together on the next attempt, so `k`
-    /// right-hand sides cost one LU factorization plus `k` substitutions.
+    /// right-hand sides cost one factorization plus `k` substitutions.
     ///
     /// # Errors
     ///
@@ -1128,12 +923,23 @@ impl MacroGroup {
         id: OperatorId,
         bs: &[Vec<f64>],
     ) -> Result<Vec<Vec<f64>>, CoreError> {
-        let op = self.operator(id)?;
-        if op.info.planes != 2 {
+        if self.operator(id)?.info.planes != 2 {
             return Err(CoreError::InvalidArgument("PINV requires a differential operator"));
         }
-        let rows = op.info.rows;
-        let cols = op.info.cols;
+        self.ranged_solve_batch(id, bs, MacroMode::Pinv)
+    }
+
+    /// The shared body of the INV and PINV batch solves (`mode` picks the
+    /// feedback circuit): one noisy conductance read, one factorization of
+    /// the circuit, then ranged multi-RHS substitution of every column.
+    fn ranged_solve_batch(
+        &mut self,
+        id: OperatorId,
+        bs: &[Vec<f64>],
+        mode: MacroMode,
+    ) -> Result<Vec<Vec<f64>>, CoreError> {
+        let op = self.operator(id)?;
+        let (rows, cols) = (op.info.rows, op.info.cols);
         for b in bs {
             if b.len() != rows {
                 return Err(CoreError::ShapeMismatch { expected: rows, found: b.len() });
@@ -1143,15 +949,17 @@ impl MacroGroup {
             return Ok(Vec::new());
         }
         let (scale, planes) = (op.info.scale, op.planes.clone());
-        self.configure_operator(id, MacroMode::Pinv)?;
+        self.configure_operator(id, mode)?;
 
         let dac = self.macros[planes[0].macro_id].dac;
         let adc = self.macros[planes[0].macro_id].adc;
         let c = self.quantizer.step() / scale;
 
-        // Per-column injection state, scanned before the conductance read so
-        // an all-zero batch short-circuits without touching the arrays or
-        // the RNG (matching `solve_pinv` and `solve_inv_batch`).
+        // Per-column injection state: quantized b, its norm and the current
+        // ranging scale α (volts of output per matrix unit of x). Scanned
+        // before the conductance read so an all-zero batch — including
+        // every zero-b single solve — short-circuits without touching the
+        // arrays or the RNG (matching the zero-input `mvm` path).
         let mut quantized: Vec<Vec<f64>> = Vec::with_capacity(bs.len());
         let mut b_maxes = Vec::with_capacity(bs.len());
         let mut alphas = Vec::with_capacity(bs.len());
@@ -1175,10 +983,12 @@ impl MacroGroup {
         if active.is_empty() {
             return Ok(xs.into_iter().map(|x| x.expect("all columns zero")).collect());
         }
+        // One DAC drive per element of every active injection column.
         #[cfg(feature = "telemetry")]
         self.telemetry.add_dac_drives((active.len() * rows) as u64);
 
-        // One noisy conductance read shared by the whole batch.
+        // One noisy conductance read shared by the whole batch (the
+        // mvm_batch contract: the array state cannot change mid-batch).
         let g_pos = self.macros[planes[0].macro_id]
             .array
             .conductances(planes[0].region, &mut self.rng)
@@ -1187,26 +997,34 @@ impl MacroGroup {
             .array
             .conductances(planes[1].region, &mut self.rng)
             .map_err(CoreError::from)?;
-        let g_f = c.clamp(self.quantizer.g_min(), self.quantizer.g_max());
         let model = self.opamp_model();
 
-        // The initial source currents are overwritten per column before each
-        // substitution, so the topology builds with a zero injection.
+        // The source currents are overwritten per column before each
+        // substitution, so the circuit builds with a zero injection.
         let zeros = vec![0.0; rows];
-        let mut topo =
-            topology::build_pinv(&g_pos, &g_neg, &zeros, g_f, model).map_err(CoreError::from)?;
-        for (k, opamp) in topo.circuit.opamp_ids().into_iter().enumerate() {
-            let m = topo.circuit.opamp_model(opamp);
+        let (mut circuit, input_sources, x_nodes) = if mode == MacroMode::Inv {
+            let t = topology::build_inv(&g_pos, &g_neg, &zeros, model)?;
+            (t.circuit, t.input_sources, t.x_nodes)
+        } else {
+            let g_f = c.clamp(self.quantizer.g_min(), self.quantizer.g_max());
+            let t = topology::build_pinv(&g_pos, &g_neg, &zeros, g_f, model)?;
+            (t.circuit, t.input_sources, t.x_nodes)
+        };
+        for (k, opamp) in circuit.opamp_ids().into_iter().enumerate() {
+            let m = circuit.opamp_model(opamp);
             let off = self.macros[planes[0].macro_id].opamp_offset(k);
-            topo.circuit.set_opamp_model(opamp, m.offset(off));
+            circuit.set_opamp_model(opamp, m.offset(off));
         }
-        let dc_op = DcOperator::new(&topo.circuit).map_err(CoreError::from)?;
+        let dc_op = DcOperator::new(&circuit)?;
 
-        // Ranged multi-RHS substitution through the shared LU factors.
+        // Ranged multi-RHS substitution: all still-railing columns stack
+        // into one RHS matrix and substitute through the shared factors.
         for _attempt in 0..8 {
             if active.is_empty() {
                 break;
             }
+            // Every ranging attempt settles the feedback loop once per
+            // still-active column, biasing both planes of the region.
             #[cfg(feature = "telemetry")]
             {
                 self.telemetry.add_solve_settles(active.len() as u64);
@@ -1214,19 +1032,20 @@ impl MacroGroup {
             }
             let mut rhs = Matrix::zeros(dc_op.dim(), active.len());
             for (k, &ci) in active.iter().enumerate() {
-                for (&src, &qb) in topo.input_sources.iter().zip(&quantized[ci]) {
-                    topo.circuit.set_current(src, -c * alphas[ci] * b_maxes[ci] * qb);
+                for (&src, &qb) in input_sources.iter().zip(&quantized[ci]) {
+                    circuit.set_current(src, -c * alphas[ci] * b_maxes[ci] * qb);
                 }
-                let col = dc_op.rhs(&topo.circuit).map_err(CoreError::from)?;
+                let col = dc_op.rhs(&circuit)?;
                 for (i, v) in col.iter().enumerate() {
                     rhs[(i, k)] = *v;
                 }
             }
-            let sol = dc_op.solve_rhs_matrix(&rhs).map_err(CoreError::from)?;
+            let sol = dc_op.solve_rhs_matrix(&rhs)?;
             let mut railed = Vec::new();
             for (k, &ci) in active.iter().enumerate() {
-                let volts: Vec<f64> = topo
-                    .x_nodes
+                // Raw MNA columns: node voltages occupy the leading rows,
+                // ground (index 0) is implicit.
+                let volts: Vec<f64> = x_nodes
                     .iter()
                     .map(|node| match node.index() {
                         0 => 0.0,
@@ -1251,9 +1070,11 @@ impl MacroGroup {
             active = railed;
         }
         if !active.is_empty() {
-            return Err(CoreError::InvalidArgument(
-                "PINV output railed the ADC at every ranging attempt",
-            ));
+            return Err(CoreError::InvalidArgument(if mode == MacroMode::Inv {
+                "INV output railed the ADC at every ranging attempt"
+            } else {
+                "PINV output railed the ADC at every ranging attempt"
+            }));
         }
         let out: Vec<Vec<f64>> =
             xs.into_iter().map(|x| x.expect("every column solved or error returned")).collect();

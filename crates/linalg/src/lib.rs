@@ -10,7 +10,8 @@
 //!
 //! * [`Matrix`] — dense row-major `f64` matrix with the usual arithmetic,
 //! * [`LuDecomposition`] — LU with partial pivoting (solve / inverse / det),
-//!   also the engine behind the MNA circuit solves in `gramc-circuit`,
+//!   which in `gramc-circuit`'s MNA solves factors only the dense,
+//!   crossbar-coupled core left after sparse elimination,
 //! * [`QrDecomposition`] — Householder QR and least squares,
 //! * [`SymmetricEigen`] / [`power_iteration`] — eigensolvers (EGV baseline),
 //! * [`Svd`] / [`pseudoinverse`] — one-sided Jacobi SVD (PINV baseline),

@@ -1,5 +1,6 @@
 //! LU factorization with partial pivoting: the workhorse behind the digital
-//! baseline solver (`x = A⁻¹b`) and the MNA solves in `gramc-circuit`.
+//! baseline solver (`x = A⁻¹b`), and the dense-core factorization of the
+//! MNA solves in `gramc-circuit` (which eliminate the sparse rest first).
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;

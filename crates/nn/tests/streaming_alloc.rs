@@ -6,9 +6,14 @@
 //! batched MVM outputs) are independent of how many images flow through.
 //! A counting global allocator makes that claim testable: doubling the
 //! batch size must not change the number of allocations.
+//!
+//! The counter is per thread: the test harness runs tests in parallel, and
+//! a process-wide count would include the other tests' allocations. The
+//! measured closures run under `with_thread_cap(1)`, so every allocation
+//! they make happens on the counting thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use gramc_core::{MacroConfig, NonidealityConfig};
 use gramc_linalg::random::seeded_rng;
@@ -16,14 +21,21 @@ use gramc_nn::{GramcLenet, LeNet5, Precision, Tensor3};
 
 struct CountingAlloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation if this thread is counting.
+fn note_alloc() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,9 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,12 +52,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Runs `f` and returns the allocations it made on this thread.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCS.set(0);
+    COUNTING.set(true);
     let out = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    (out, ALLOCS.load(Ordering::SeqCst))
+    COUNTING.set(false);
+    (out, ALLOCS.get())
 }
 
 fn random_images(n: usize, seed: u64) -> Vec<Tensor3> {
