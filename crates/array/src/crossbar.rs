@@ -127,6 +127,10 @@ struct Snapshot {
 #[derive(Debug, Default)]
 struct ConductanceCache {
     entries: Vec<Snapshot>,
+    /// Every cell's noise-free read (before faults) of each region read
+    /// noisily, most recently used last: the part of a noisy read that
+    /// only a mutation can change.
+    cells: Vec<(ActiveRegion, Matrix)>,
 }
 
 /// Cached regions kept per array. An operator occupies at most a few plane
@@ -154,7 +158,10 @@ const CACHE_SLOTS: usize = 8;
 ///   mutation.
 ///
 /// Noisy reads ([`conductances`](Self::conductances)) model a fresh ADC
-/// sample per call and are deliberately never cached.
+/// sample per call: every call draws new read noise for every cell. Only
+/// the noise-free conductance underneath is kept, per region and under the
+/// same invalidation, so a cell's compact model is evaluated once per
+/// generation. That reuse is not counted as a snapshot hit or miss.
 ///
 /// Under the `fault-inject` feature an installed
 /// [`FaultPlan`](gramc_device::FaultPlan) participates in the same
@@ -372,7 +379,9 @@ impl CrossbarArray {
     /// directly can keep the contract.
     pub fn invalidate_cache(&mut self) {
         self.generation += 1;
-        self.cache.get_mut().expect("cache lock poisoned").entries.clear();
+        let cache = self.cache.get_mut().expect("cache lock poisoned");
+        cache.entries.clear();
+        cache.cells.clear();
     }
 
     /// Runs `f` on the (possibly freshly built) snapshot for `region`.
@@ -458,6 +467,11 @@ impl CrossbarArray {
     /// Reads the noisy conductance matrix of a region (one ADC read per
     /// cell, each with independent read noise).
     ///
+    /// Every cell takes exactly what [`OneTOneR::read`] returns for the same
+    /// RNG draws, in row-major order; the noise-free conductance under the
+    /// noise comes from a per-region cache that every mutation invalidates
+    /// (see the type docs).
+    ///
     /// # Errors
     ///
     /// Returns [`ArrayError::RegionOutOfBounds`] for invalid regions.
@@ -467,11 +481,29 @@ impl CrossbarArray {
         rng: &mut R,
     ) -> Result<Matrix, ArrayError> {
         self.check_region(region)?;
-        let mut g = Matrix::zeros(region.rows, region.cols);
+        // Every cell carries the array's noise configuration.
+        let sigma = self.config.noise.read_rel_sigma;
+        let mut cache = self.cache.lock().expect("cache lock poisoned");
+        let pos = cache.cells.iter().position(|(r, _)| *r == region);
+        let (_, ideal) = match pos {
+            Some(pos) => cache.cells.remove(pos),
+            None => {
+                if cache.cells.len() >= CACHE_SLOTS {
+                    cache.cells.remove(0);
+                }
+                let read = |i, j| self.cell(region.row0 + i, region.col0 + j).read_ideal();
+                (region, Matrix::from_fn(region.rows, region.cols, read))
+            }
+        };
+        let mut g = ideal.clone();
+        cache.cells.push((region, ideal));
+        drop(cache);
         for i in 0..region.rows {
-            for j in 0..region.cols {
-                let (row, col) = (region.row0 + i, region.col0 + j);
-                g[(i, j)] = self.fault_adjust(self.cell(row, col).read(rng), row, col);
+            for (j, v) in g.row_mut(i).iter_mut().enumerate() {
+                if sigma != 0.0 {
+                    *v = (*v * (1.0 + sigma * standard_normal(rng))).max(0.0);
+                }
+                *v = self.fault_adjust(*v, region.row0 + i, region.col0 + j);
             }
         }
         self.apply_read_disturb(&mut g, region, rng);
@@ -550,7 +582,8 @@ impl CrossbarArray {
     /// Transposed effective conductances of a region, shared by reference
     /// from the generation-tagged snapshot cache — the zero-copy feed of
     /// the batched MVM kernels. Only valid for noise-free reads (noisy
-    /// reads model a fresh sample per call and are never cached).
+    /// reads model a fresh sample per call, so their noise is never
+    /// cached).
     ///
     /// # Errors
     ///
@@ -566,7 +599,7 @@ impl CrossbarArray {
 
     /// One noisy effective-conductance read: per-cell read noise plus the
     /// IR-drop correction of [`effective_conductances`](Self::effective_conductances).
-    /// Never cached (each call is a fresh sample).
+    /// Each call is a fresh sample (see [`conductances`](Self::conductances)).
     ///
     /// # Errors
     ///
@@ -1152,6 +1185,57 @@ mod tests {
         );
     }
 
+    /// The noisy read `conductances` must reproduce: every cell's own
+    /// `read`, filtered through the fault state, then read disturb.
+    fn per_cell_read(xbar: &CrossbarArray, region: ActiveRegion, rng: &mut StdRng) -> Matrix {
+        let mut g = Matrix::zeros(region.rows, region.cols);
+        for i in 0..region.rows {
+            for j in 0..region.cols {
+                let (row, col) = (region.row0 + i, region.col0 + j);
+                g[(i, j)] = xbar.fault_adjust(xbar.cell(row, col).read(rng), row, col);
+            }
+        }
+        xbar.apply_read_disturb(&mut g, region, rng);
+        g
+    }
+
+    /// Two noisy reads of each region (the second reusing the noise-free
+    /// cell reads of the first) against per-cell reads from an identically
+    /// seeded RNG, bit for bit.
+    fn assert_reads_match_per_cell(xbar: &CrossbarArray, seed: u64) {
+        let half = ActiveRegion { row0: 1, col0: 2, rows: 4, cols: 3 };
+        for region in [ActiveRegion::full(6, 5), half] {
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for _ in 0..2 {
+                let got = xbar.conductances(region, &mut a).unwrap();
+                let want = per_cell_read(xbar, region, &mut b);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "region {region:?}");
+            }
+        }
+    }
+
+    fn noisy_array(seed: u64) -> CrossbarArray {
+        let mut cfg = ArrayConfig::small(6, 5);
+        cfg.noise.read_rel_sigma = 0.05;
+        CrossbarArray::new(cfg, &mut StdRng::seed_from_u64(seed))
+    }
+
+    #[test]
+    fn noisy_reads_match_per_cell_reads_across_mutations() {
+        let mut xbar = noisy_array(60);
+        assert_reads_match_per_cell(&xbar, 1);
+        let q = LevelQuantizer::paper_default();
+        let region = ActiveRegion::full(6, 5);
+        let targets = Matrix::from_fn(6, 5, |i, j| q.conductance_of((2 * i + 3 * j) % 16));
+        let mut rng = StdRng::seed_from_u64(61);
+        xbar.program_direct(region, &targets, &q, 0.3, &mut rng).unwrap();
+        assert_reads_match_per_cell(&xbar, 2);
+        xbar.cell_mut(2, 3).set_pulse(1.2, 2.0, 30e-9, &mut rng);
+        assert_reads_match_per_cell(&xbar, 3);
+    }
+
     #[test]
     fn voltage_length_is_validated() {
         let (xbar, mut rng) = ideal_array(3, 2, 8);
@@ -1259,6 +1343,27 @@ mod tests {
                 b.conductances(region, &mut rng_b).unwrap(),
                 "zero-rate plan must not perturb reads or the RNG stream"
             );
+        }
+
+        #[test]
+        fn noisy_reads_match_per_cell_reads_under_faults() {
+            let mut xbar = noisy_array(62);
+            let q = LevelQuantizer::paper_default();
+            let targets = Matrix::filled(6, 5, q.conductance_of(9));
+            let mut rng = StdRng::seed_from_u64(63);
+            xbar.program_direct(ActiveRegion::full(6, 5), &targets, &q, 0.0, &mut rng).unwrap();
+            assert_reads_match_per_cell(&xbar, 4);
+            let mut cfg = FaultConfig::default();
+            cfg.drift_tau_s = 1.0;
+            cfg.read_disturb_prob = 0.3;
+            cfg.read_disturb_frac = 0.2;
+            let faults = [(0, 0, FaultKind::StuckAtOn), (2, 3, FaultKind::Drift)];
+            xbar.install_fault_plan(FaultPlan::from_faults(6, 5, &faults, cfg));
+            assert_reads_match_per_cell(&xbar, 5);
+            xbar.advance_fault_time(0.5);
+            assert_reads_match_per_cell(&xbar, 6);
+            xbar.clear_fault_plan();
+            assert_reads_match_per_cell(&xbar, 7);
         }
 
         #[test]

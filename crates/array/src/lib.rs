@@ -33,7 +33,10 @@
 //!   snapshots. External controllers driving cells through other means
 //!   must call [`CrossbarArray::invalidate_cache`] themselves.
 //! * **Noisy reads stay fresh.** [`CrossbarArray::conductances`] models an
-//!   ADC sample with per-cell read noise and is never cached.
+//!   ADC sample with per-cell read noise, drawn anew on every call. Only the
+//!   noise-free conductance under the noise is reused, per region and under
+//!   the same invalidation, so each cell's compact model is evaluated once
+//!   per generation; this reuse is not counted as a snapshot hit or miss.
 //! * **Faults invalidate too.** Under the `fault-inject` feature,
 //!   installing/clearing a [`gramc_device::FaultPlan`] and advancing the
 //!   fault clock (conductance drift) invalidate the cache the same way a

@@ -11,7 +11,7 @@ use gramc_linalg::Matrix;
 
 use crate::error::CircuitError;
 use crate::netlist::{Circuit, Node};
-use crate::sparse::SparseLu;
+use crate::sparse::{to_u32, Entry, SparseLu};
 
 /// Solution of a DC operating-point analysis.
 #[derive(Debug, Clone)]
@@ -69,8 +69,7 @@ enum OpampStamping {
 /// `m×n` PINV circuit it holds the `m + n` residual and solution nodes; an
 /// MVM circuit (open loop) and the transient engine's pinned-output
 /// network leave no core at all. A solve runs sparse L, dense core, sparse
-/// U. Read noise changes the matrix values on every read, so the
-/// elimination order is chosen afresh for every factorization.
+/// U.
 ///
 /// Workloads that solve the *same* resistive network under many
 /// excitations — the macro auto-ranging loops, the transient integrator,
@@ -78,6 +77,14 @@ enum OpampStamping {
 /// [`DcOperator::new`] and then call [`solve_circuit`](Self::solve_circuit)
 /// (or the raw RHS entry points) per excitation. [`dc_solve`] remains the
 /// one-shot convenience wrapper.
+///
+/// The elimination order follows from the sparsity pattern alone unless
+/// the threshold test rejects a candidate. Every factorization therefore
+/// records its order and every slot it touched, and when the same topology
+/// comes back with new element values — the same array read again with
+/// fresh read noise — [`refactor`](Self::refactor) replays that record on
+/// the new values instead of searching again, bit for bit what
+/// [`new`](Self::new) would compute.
 ///
 /// The factorization captures the circuit *topology and element values that
 /// enter the matrix*: conductances, source/op-amp connectivity and op-amp
@@ -88,6 +95,9 @@ enum OpampStamping {
 pub struct DcOperator {
     /// `None` for the empty circuit (trivial solution).
     lu: Option<SparseLu>,
+    /// How [`refactor`](Self::refactor) restamps `lu`'s pattern; `None`
+    /// when `lu` cannot be replayed.
+    restamp: Option<Restamp>,
     nv: usize,
     nvs: usize,
     nop: usize,
@@ -180,50 +190,139 @@ fn stamp(circuit: &Circuit, stamping: OpampStamping, mut add: impl FnMut(usize, 
     }
 }
 
+/// How [`DcOperator::refactor`] stamps a circuit into the starting pattern
+/// of the recorded factorization, checking that every stamp lands where it
+/// landed when [`assemble`] built the pattern.
+#[derive(Debug, Clone)]
+struct Restamp {
+    /// Row `i`'s kept (nonzero) off-diagonal stamps, in call order, are its
+    /// raw stamps `raw_ptr[i]..raw_ptr[i + 1]`.
+    raw_ptr: Vec<usize>,
+    /// Starting slot of every raw stamp.
+    slot_of: Vec<u32>,
+    /// Starting slot of each row's diagonal; [`NO_SLOT`] where it has none.
+    diag: Vec<u32>,
+    /// Column of every starting slot.
+    cols: Vec<u32>,
+}
+
+/// Marks a row without a diagonal entry.
+const NO_SLOT: u32 = u32::MAX;
+
+impl Restamp {
+    /// Sums the stamps of `circuit` into `values` (zeroed, one per starting
+    /// slot) as [`assemble`] sums them, and says whether they form the
+    /// pattern it built: every row's kept stamps at the same columns in the
+    /// same order, and no entry summing to zero.
+    fn stamp(&self, circuit: &Circuit, stamping: OpampStamping, values: &mut [f64]) -> bool {
+        // The next raw stamp of each row.
+        let mut next = self.raw_ptr[..self.raw_ptr.len() - 1].to_vec();
+        let mut fits = true;
+        // `stamp` calls this from many sites; left out of line, every call
+        // would reload the captured state (measured ~1.5× slower replays).
+        stamp(
+            circuit,
+            stamping,
+            #[inline(always)]
+            |i, j, v| {
+                let s = if i == j {
+                    self.diag[i]
+                } else if v == 0.0 {
+                    return; // dropped, as in assembly
+                } else if next[i] < self.raw_ptr[i + 1] {
+                    next[i] += 1;
+                    self.slot_of[next[i] - 1]
+                } else {
+                    NO_SLOT
+                };
+                if s != NO_SLOT && self.cols[s as usize] as usize == j {
+                    values[s as usize] += v;
+                } else {
+                    fits = false;
+                }
+            },
+        );
+        fits && next[..] == self.raw_ptr[1..] && values.iter().all(|&v| v != 0.0)
+    }
+}
+
 /// Stamps `circuit` into sparse rows of distinct columns. Repeated stamps
 /// of one position sum in element order, as in a dense assembly; the
-/// diagonal comes last in its row.
-fn assemble(circuit: &Circuit, stamping: OpampStamping, dim: usize) -> Vec<Vec<(usize, f64)>> {
-    // One pass sizes every row, the next fills it. Diagonal stamps (both
-    // ends of every conductance) sum in place.
-    let mut len = vec![1; dim];
-    stamp(circuit, stamping, |i, j, _| len[i] += usize::from(i != j));
-    let mut rows: Vec<Vec<(usize, f64)>> = len.into_iter().map(Vec::with_capacity).collect();
+/// diagonal comes last in its row. Entries are numbered row-major: these
+/// are the starting slots of the factorization's record. Also returns the
+/// [`Restamp`] of these rows, unless a repeated stamp cancelled to zero and
+/// was dropped.
+fn assemble(
+    circuit: &Circuit,
+    stamping: OpampStamping,
+    dim: usize,
+) -> (Vec<Vec<Entry>>, Option<Restamp>) {
+    // One pass counts each row's kept (nonzero) off-diagonal stamps, the
+    // next fills the rows with them. Diagonal stamps (both ends of every
+    // conductance) sum in place.
+    let mut raw_ptr = vec![0; dim + 1];
+    stamp(circuit, stamping, |i, j, v| raw_ptr[i + 1] += usize::from(i != j && v != 0.0));
+    for i in 0..dim {
+        raw_ptr[i + 1] += raw_ptr[i];
+    }
+    let mut rows: Vec<Vec<Entry>> =
+        raw_ptr.windows(2).map(|w| Vec::with_capacity(w[1] - w[0] + 1)).collect();
     let mut diag = vec![0.0; dim];
     stamp(circuit, stamping, |i, j, v| {
         if i == j {
             diag[i] += v;
         } else if v != 0.0 {
-            rows[i].push((j, v));
+            rows[i].push(Entry { index: to_u32(j), slot: 0, value: v });
         }
     });
 
     // Fold repeated stamps onto their first occurrence: `first[j]` holds
-    // the (row, position) of column j's latest first stamp.
+    // the (row, position) of column j's latest first stamp. Every raw stamp
+    // lands in starting slot `start + at`, `start` being the number of
+    // starting slots in the rows above.
     let mut first = vec![(usize::MAX, 0); dim];
+    let mut slot_of = Vec::with_capacity(raw_ptr[dim]);
+    let mut diag_slot = vec![NO_SLOT; dim];
+    let mut start = 0;
+    let mut exact = true;
     for (i, row) in rows.iter_mut().enumerate() {
         let mut n = 0;
         let mut folded = false;
         for k in 0..row.len() {
-            let (j, v) = row[k];
-            if first[j].0 == i {
-                row[first[j].1].1 += v;
+            let e = row[k];
+            let j = e.index as usize;
+            let at = if first[j].0 == i {
+                row[first[j].1].value += e.value;
                 folded = true;
+                first[j].1
             } else {
                 first[j] = (i, n);
-                row[n] = (j, v);
+                row[n] = e;
                 n += 1;
-            }
+                n - 1
+            };
+            slot_of.push(to_u32(start + at));
         }
         row.truncate(n);
         if folded {
-            row.retain(|e| e.1 != 0.0);
+            row.retain(|e| e.value != 0.0);
+            exact &= row.len() == n;
         }
         if diag[i] != 0.0 {
-            row.push((i, diag[i]));
+            diag_slot[i] = to_u32(start + row.len());
+            row.push(Entry { index: to_u32(i), slot: 0, value: diag[i] });
         }
+        for (k, e) in row.iter_mut().enumerate() {
+            e.slot = to_u32(start + k);
+        }
+        start += row.len();
     }
-    rows
+    let restamp = exact.then(|| {
+        let mut cols = Vec::with_capacity(start);
+        cols.extend(rows.iter().flatten().map(|e| e.index));
+        Restamp { raw_ptr, slot_of, diag: diag_slot, cols }
+    });
+    (rows, restamp)
 }
 
 impl DcOperator {
@@ -249,17 +348,57 @@ impl DcOperator {
         Self::build(circuit, OpampStamping::PinnedOutputs)
     }
 
+    /// The fresh factorization behind every constructor and every
+    /// [`refactor`](Self::refactor) that cannot replay. It keeps what a
+    /// later replay needs.
     fn build(circuit: &Circuit, stamping: OpampStamping) -> Result<Self, CircuitError> {
         let nv = circuit.node_count - 1; // unknown node voltages (ground excluded)
         let nvs = circuit.voltage_sources.len();
         let nop = circuit.opamps.len();
         let dim = nv + nvs + nop;
         if dim == 0 {
-            return Ok(Self { lu: None, nv, nvs, nop, stamping });
+            return Ok(Self { lu: None, restamp: None, nv, nvs, nop, stamping });
         }
-        let rows = assemble(circuit, stamping, dim);
+        let (rows, restamp) = assemble(circuit, stamping, dim);
         let lu = SparseLu::new(dim, rows).map_err(CircuitError::from)?;
-        Ok(Self { lu: Some(lu), nv, nvs, nop, stamping })
+        let restamp = restamp.filter(|_| lu.can_refactor());
+        Ok(Self { lu: Some(lu), restamp, nv, nvs, nop, stamping })
+    }
+
+    /// Refactors for the element values of `circuit`, a circuit of the
+    /// same topology as the one this operator was built from — typically
+    /// the same netlist rebuilt around a fresh read of the array.
+    ///
+    /// The circuit is stamped straight into the recorded sparse pattern
+    /// and the recorded elimination is replayed on it: the same arithmetic
+    /// in the same order, with the same threshold and singularity tests,
+    /// but no pivot search. The factors are bit for bit those of
+    /// [`new`](Self::new) on `circuit`. This falls back to a fresh
+    /// factorization, which records itself for the next call, when the
+    /// pattern differs (another topology, a zero conductance, or entries
+    /// summing to zero), when a replayed pivot fails its test, or when the
+    /// recorded run rejected a candidate, the one case where the
+    /// elimination order depended on the values.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`new`](Self::new). On error the operator keeps
+    /// its previous factorization.
+    pub fn refactor(&mut self, circuit: &Circuit) -> Result<(), CircuitError> {
+        if !self.replay(circuit) {
+            *self = Self::build(circuit, self.stamping)?;
+        }
+        Ok(())
+    }
+
+    /// Replays the recorded factorization on `circuit`; `false` (factors
+    /// unchanged) where only a fresh one is exact.
+    fn replay(&mut self, circuit: &Circuit) -> bool {
+        let (Some(lu), Some(restamp)) = (&mut self.lu, &self.restamp) else { return false };
+        circuit.node_count - 1 == self.nv
+            && circuit.voltage_sources.len() == self.nvs
+            && circuit.opamps.len() == self.nop
+            && lu.refactor(|start| restamp.stamp(circuit, self.stamping, start))
     }
 
     /// Dimension of the MNA system (0 for the empty circuit).
@@ -636,6 +775,21 @@ mod tests {
         assert!(err <= 1e-9 * scale, "{what}: error {err:e} against scale {scale:e}");
     }
 
+    /// Three excitations of `op`: a current into every node, and volts on
+    /// the source and op-amp rows (source values, op-amp offsets or pinned
+    /// states).
+    fn excitations(op: &DcOperator) -> Matrix {
+        let nv = op.unknown_nodes();
+        Matrix::from_fn(op.dim(), 3, |i, k| {
+            let t = (7 * i + 13 * k) as f64;
+            if i < nv {
+                1e-6 * t.sin()
+            } else {
+                0.1 * t.cos()
+            }
+        })
+    }
+
     /// Solves `circuit` through `DcOperator` and through a dense LU of its
     /// whole MNA matrix, for three excitations one at a time and as one
     /// multi-RHS batch. Node voltages and branch currents must agree to
@@ -644,17 +798,8 @@ mod tests {
     fn cross_check(circuit: &Circuit, stamping: OpampStamping) -> usize {
         let op = DcOperator::build(circuit, stamping).unwrap();
         let dense = gramc_linalg::LuDecomposition::new(&dense_mna(circuit, stamping)).unwrap();
-        let (dim, nv) = (op.dim(), op.unknown_nodes());
-        // A current into every node, and volts on the source and op-amp
-        // rows (source values, op-amp offsets or pinned states).
-        let rhs = Matrix::from_fn(dim, 3, |i, k| {
-            let t = (7 * i + 13 * k) as f64;
-            if i < nv {
-                1e-6 * t.sin()
-            } else {
-                0.1 * t.cos()
-            }
-        });
+        let nv = op.unknown_nodes();
+        let rhs = excitations(&op);
         let batch = op.solve_rhs_matrix(&rhs).unwrap();
         for k in 0..3 {
             let want = dense.solve(&rhs.col(k)).unwrap();
@@ -746,6 +891,182 @@ mod tests {
                 assert!(core <= n, "EGV {n}×{n}: dense core {core}");
             }
         }
+    }
+
+    /// Asserts that `op` solves exactly as a fresh factorization of
+    /// `circuit` does: every `solve_rhs` and `solve_rhs_matrix` output, bit
+    /// for bit.
+    fn assert_solves_as_fresh(op: &DcOperator, circuit: &Circuit) {
+        let fresh = DcOperator::build(circuit, op.stamping).unwrap();
+        let rhs = excitations(&fresh);
+        let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(op.solve_rhs_matrix(&rhs).unwrap()),
+            bits(fresh.solve_rhs_matrix(&rhs).unwrap()),
+            "multi-RHS solve"
+        );
+        let flat = |s: DcSolution| -> Vec<u64> {
+            s.node_voltages.iter().chain(&s.branch_currents).map(|v| v.to_bits()).collect()
+        };
+        for k in 0..rhs.cols() {
+            let (got, want) = (op.solve_rhs(&rhs.col(k)).unwrap(), fresh.solve_rhs(&rhs.col(k)));
+            assert_eq!(flat(got), flat(want.unwrap()), "solve of excitation {k}");
+        }
+    }
+
+    /// Factors one noisy read of the conductance pair of `a` as `new` does,
+    /// then refactors through 25 more reads, for both op-amp flavours and
+    /// both stampings. Every refactor must replay the recorded elimination
+    /// and solve exactly as a fresh factorization.
+    fn check_replays(
+        a: &Matrix,
+        seed: u64,
+        build: impl Fn(&Matrix, &Matrix, OpampModel) -> Circuit,
+    ) {
+        let mut rng = gramc_linalg::random::seeded_rng(seed);
+        let (gp, gn) = pair(a);
+        let mut read = || {
+            let mut noisy = |g: &Matrix| {
+                let mut g = g.clone();
+                for v in g.as_mut_slice() {
+                    *v *= 1.0 + 0.01 * gramc_linalg::random::standard_normal(&mut rng);
+                }
+                g
+            };
+            let (p, n) = (noisy(&gp), noisy(&gn));
+            with_models(|m| build(&p, &n, m))
+        };
+        let stampings = [OpampStamping::Behavioural, OpampStamping::PinnedOutputs];
+        let first = read();
+        let mut ops: Vec<DcOperator> = first
+            .iter()
+            .flat_map(|c| stampings.map(|s| DcOperator::build(c, s).unwrap()))
+            .collect();
+        for draw in 0..25 {
+            let circuits = read();
+            let mut op = ops.iter_mut();
+            for c in &circuits {
+                for _ in stampings {
+                    let op = op.next().unwrap();
+                    assert!(op.clone().replay(c), "draw {draw} would factor afresh");
+                    op.refactor(c).unwrap();
+                    assert_solves_as_fresh(op, c);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replayed_factorization_matches_fresh_on_inv() {
+        let a = gramc_linalg::random::spd_with_condition(
+            &mut gramc_linalg::random::seeded_rng(5),
+            32,
+            4.0,
+        );
+        check_replays(&a, 6, |gp, gn, m| {
+            topology::build_inv(gp, gn, &[1e-6; 32], m).unwrap().circuit
+        });
+    }
+
+    #[test]
+    fn replayed_factorization_matches_fresh_on_pinv() {
+        let a =
+            gramc_linalg::random::gaussian_matrix(&mut gramc_linalg::random::seeded_rng(7), 64, 32);
+        check_replays(&a, 8, |gp, gn, m| {
+            topology::build_pinv(gp, gn, &[1e-6; 64], 50e-6, m).unwrap().circuit
+        });
+    }
+
+    #[test]
+    fn replayed_factorization_matches_fresh_on_egv() {
+        let a = gramc_linalg::random::gram(&mut gramc_linalg::random::seeded_rng(9), 16, 32);
+        check_replays(&a, 10, |gp, gn, m| topology::build_egv(gp, gn, 200e-6, m).unwrap().circuit);
+    }
+
+    /// A finite-gain amplifier of gain `gain` sensing node `p` (fed by a
+    /// current source, `g1` to ground, `g2` to the output `o`, which has
+    /// `g3` to ground). Its MNA determinant is `g2·gain − (g1 + g2)`.
+    fn sensing_amplifier(g1: f64, g2: f64, g3: f64, gain: f64) -> Circuit {
+        let mut c = Circuit::new();
+        let (p, o) = (c.node(), c.node());
+        c.current_source(Circuit::GROUND, p, 1e-3);
+        c.conductance(p, Circuit::GROUND, g1);
+        c.conductance(p, o, g2);
+        c.conductance(o, Circuit::GROUND, g3);
+        c.opamp(p, Circuit::GROUND, o, OpampModel::with_gain(gain));
+        c
+    }
+
+    /// Refactors `op` for `circuit` and checks it fell back to a fresh
+    /// factorization that solves exactly as `DcOperator::new` does.
+    fn assert_falls_back(op: &mut DcOperator, circuit: &Circuit) {
+        assert!(!op.clone().replay(circuit), "replay must decline");
+        op.refactor(circuit).unwrap();
+        assert_solves_as_fresh(op, circuit);
+    }
+
+    #[test]
+    fn recorded_threshold_rejection_always_refactors_afresh() {
+        // The input node's own conductance is the cheapest pivot, but the
+        // gain stamp dwarfs it in its column: the recorded run rejects it,
+        // so its order depends on the values and it keeps no plan.
+        let mut op = DcOperator::new(&sensing_amplifier(1e-3, 1e-3, 1e-3, 1e4)).unwrap();
+        assert!(!op.lu.as_ref().unwrap().can_refactor());
+        for g1 in [2e-3, 5e-4] {
+            assert_falls_back(&mut op, &sensing_amplifier(g1, 1e-3, 1e-3, 1e4));
+        }
+    }
+
+    #[test]
+    fn replayed_pivot_failing_its_threshold_refactors_afresh() {
+        let mut op = DcOperator::new(&sensing_amplifier(1.0, 1.0, 1.0, 3.0)).unwrap();
+        assert!(op.replay(&sensing_amplifier(1.5, 1.0, 1.0, 3.0)));
+        // The second pivot is `g2`, coupling the input node to the output;
+        // its column also holds the op-amp's unit output stamp.
+        assert_falls_back(&mut op, &sensing_amplifier(1.0, 0.05, 1.0, 3.0));
+    }
+
+    #[test]
+    fn changed_pattern_refactors_afresh() {
+        let (gp, gn) = pair(&gramc_linalg::random::spd_with_condition(
+            &mut gramc_linalg::random::seeded_rng(11),
+            8,
+            4.0,
+        ));
+        let inv = |gp: &Matrix| {
+            topology::build_inv(gp, &gn, &[1e-6; 8], OpampModel::with_gain(1e4)).unwrap().circuit
+        };
+        let mut op = DcOperator::new(&inv(&gp)).unwrap();
+        // A zero conductance drops its stamps.
+        let mut open = gp.clone();
+        open[(2, 5)] = 0.0;
+        assert_falls_back(&mut op, &inv(&open));
+        // An extra element adds some.
+        let mut extra = inv(&gp);
+        extra.conductance(Node(3), Node(4), 1e-5);
+        assert_falls_back(&mut op, &extra);
+        // The fallback recorded the new pattern: that one replays now, and
+        // the original falls back once more.
+        let mut heavier = gp.clone();
+        heavier[(0, 0)] *= 1.5;
+        let mut extra = inv(&heavier);
+        extra.conductance(Node(3), Node(4), 1e-5);
+        assert!(op.replay(&extra));
+        assert_solves_as_fresh(&op, &extra);
+        assert_falls_back(&mut op, &inv(&gp));
+    }
+
+    #[test]
+    fn circuit_turning_singular_fails_both_paths_alike() {
+        let healthy = sensing_amplifier(1.0, 1.0, 1.0, 3.0);
+        let mut op = DcOperator::new(&healthy).unwrap();
+        // Gain (g1 + g2)/g2 zeroes the determinant, exactly in binary.
+        let singular = sensing_amplifier(1.0, 1.0, 1.0, 2.0);
+        assert!(matches!(DcOperator::new(&singular), Err(CircuitError::SingularSystem)));
+        assert!(!op.clone().replay(&singular), "the replay must decline");
+        assert!(matches!(op.refactor(&singular), Err(CircuitError::SingularSystem)));
+        // A failed refactor keeps the previous factorization.
+        assert_solves_as_fresh(&op, &healthy);
     }
 
     #[test]

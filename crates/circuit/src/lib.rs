@@ -10,7 +10,9 @@
 //! inverter nodes go first, and `gramc-linalg`'s dense `LuDecomposition`
 //! factors only the block the crossbar couples — the `n` solution nodes of
 //! an `n×n` INV circuit, the `m + n` residual and solution nodes of an
-//! `m×n` PINV circuit.
+//! `m×n` PINV circuit. Every factorization records its elimination, so the
+//! same circuit rebuilt around a fresh read of the arrays is refactored by
+//! replaying it ([`DcOperator::refactor`]).
 //!
 //! The crate's centerpiece is [`topology`]: builders for the four
 //! reconfigurable AMC circuit configurations of the paper — MVM, INV, PINV

@@ -219,6 +219,10 @@ struct Operator {
     /// current stays inside the ADC range (realized as parallel RRAM cells,
     /// i.e. quantized to multiples of the level step).
     g_f: f64,
+    /// Factorization of the last INV or PINV circuit solved on this
+    /// operator, with its mode; the next solve in that mode refactors it
+    /// (only the read noise differs).
+    dc: Option<(MacroMode, DcOperator)>,
     freed: bool,
 }
 
@@ -368,6 +372,7 @@ impl MacroGroup {
             return Err(CoreError::InvalidOperator);
         }
         op.freed = true;
+        op.dc = None;
         let macro_ids: Vec<usize> = op.planes.iter().map(|p| p.macro_id).collect();
         for mid in macro_ids {
             self.macros[mid].owner = None;
@@ -478,7 +483,7 @@ impl MacroGroup {
             quantized,
             program,
         };
-        self.operators.push(Operator { info, planes, row_g_sum, g_f, freed: false });
+        self.operators.push(Operator { info, planes, row_g_sum, g_f, dc: None, freed: false });
         Ok(OperatorId(op_index))
     }
 
@@ -525,7 +530,7 @@ impl MacroGroup {
             quantized: sliced.dequantize(),
             program,
         };
-        self.operators.push(Operator { info, planes, row_g_sum, g_f, freed: false });
+        self.operators.push(Operator { info, planes, row_g_sum, g_f, dc: None, freed: false });
         Ok(OperatorId(op_index))
     }
 
@@ -932,6 +937,10 @@ impl MacroGroup {
     /// The shared body of the INV and PINV batch solves (`mode` picks the
     /// feedback circuit): one noisy conductance read, one factorization of
     /// the circuit, then ranged multi-RHS substitution of every column.
+    /// The factorization is kept with the operator, and the next solve in
+    /// the same mode refactors it for its own read
+    /// ([`DcOperator::refactor`]); a solve in the other mode factors
+    /// afresh.
     fn ranged_solve_batch(
         &mut self,
         id: OperatorId,
@@ -1015,7 +1024,13 @@ impl MacroGroup {
             let off = self.macros[planes[0].macro_id].opamp_offset(k);
             circuit.set_opamp_model(opamp, m.offset(off));
         }
-        let dc_op = DcOperator::new(&circuit)?;
+        let dc_op = match self.operators[id.0].dc.take() {
+            Some((kept, mut dc)) if kept == mode => {
+                dc.refactor(&circuit)?;
+                dc
+            }
+            _ => DcOperator::new(&circuit)?,
+        };
 
         // Ranged multi-RHS substitution: all still-railing columns stack
         // into one RHS matrix and substitute through the shared factors.
@@ -1069,6 +1084,7 @@ impl MacroGroup {
             }
             active = railed;
         }
+        self.operators[id.0].dc = Some((mode, dc_op));
         if !active.is_empty() {
             return Err(CoreError::InvalidArgument(if mode == MacroMode::Inv {
                 "INV output railed the ADC at every ranging attempt"

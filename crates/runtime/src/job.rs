@@ -80,10 +80,11 @@ impl Slot {
 /// Handle to a submitted job.
 ///
 /// The result is retrieved with [`wait`](Self::wait) (blocking) or
-/// [`try_result`](Self::try_result) (non-blocking). Jobs only execute
-/// inside [`Runtime::run_all`](crate::Runtime::run_all), so on a single
-/// thread call `run_all` first and `wait` after; `wait` blocks safely when
-/// another thread is driving the runtime.
+/// [`try_result`](Self::try_result) (non-blocking). Jobs execute inside
+/// [`Runtime::run_all`](crate::Runtime::run_all) or on the workers of a
+/// [`RuntimeServer`](crate::RuntimeServer). Without a server, a single
+/// thread calls `run_all` first and `wait` after; `wait` blocks safely when
+/// another thread or a server is driving the runtime.
 #[derive(Debug, Clone)]
 pub struct JobHandle {
     pub(crate) slot: Arc<Slot>,

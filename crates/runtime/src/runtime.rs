@@ -1111,6 +1111,12 @@ impl Runtime {
         self.serve.active.store(false, Ordering::SeqCst);
     }
 
+    /// Times a serving worker has gone to sleep so far.
+    #[cfg(test)]
+    pub(crate) fn parks(&self) -> usize {
+        self.serve.parks.load(Ordering::SeqCst)
+    }
+
     /// Body of one persistent serving worker: [`worker_loop`](Self::worker_loop)
     /// that parks on the serve condvar instead of returning when the queues
     /// run dry, and exits only once shutdown is signalled **and** every
@@ -1123,15 +1129,19 @@ impl Runtime {
                     return;
                 }
                 let guard = self.serve.park.lock().expect("serve lock");
-                // Re-check under the park mutex: a submission between the
-                // outer check and the wait notifies while holding this
-                // mutex, so it cannot slip by unseen. The timeout is pure
-                // belt-and-braces — a missed edge costs one period, not a
-                // hang.
+                // Re-check under the park mutex, then sleep until notified.
+                // No wakeup can be lost: only `enqueue_job` raises
+                // `remaining`, and after raising it takes this mutex before
+                // notifying. Either it took the mutex before this re-check,
+                // which then sees the job, or only once `wait` released it,
+                // so the notification finds this worker asleep.
+                // `signal_shutdown` raises its flag the same way.
                 if self.remaining.load(Ordering::SeqCst) == 0
                     && !self.serve.shutdown.load(Ordering::SeqCst)
                 {
-                    let _ = self.serve.wake.wait_timeout(guard, Duration::from_millis(50));
+                    #[cfg(test)]
+                    self.serve.parks.fetch_add(1, Ordering::SeqCst);
+                    drop(self.serve.wake.wait(guard).expect("serve lock"));
                 }
                 idle = 0;
                 continue;
@@ -2039,8 +2049,8 @@ impl Runtime {
 
 /// Parking/wake state shared between submitters and persistent serving
 /// workers. The mutex guards nothing by itself — it exists so the condvar
-/// handshake (worker re-checks `remaining` under it, submitter notifies
-/// under it) has no lost-wakeup window.
+/// handshake (worker re-checks `remaining` under it, submitter takes it
+/// between raising `remaining` and notifying) has no lost-wakeup window.
 #[derive(Debug, Default)]
 struct ServeState {
     park: Mutex<()>,
@@ -2051,6 +2061,10 @@ struct ServeState {
     /// Whether persistent workers are attached (submitters only notify the
     /// condvar while they are — `run_all` callers skip the overhead).
     active: AtomicBool,
+    /// Times a serving worker went to sleep on `wake`, counted under
+    /// `park` just before the wait.
+    #[cfg(test)]
+    parks: AtomicUsize,
 }
 
 /// Where one compute job actually runs, resolved against the registry at

@@ -179,3 +179,46 @@ impl MetricsReporter {
         self.thread.join().map_err(|_| std::io::Error::other("metrics reporter panicked"))?
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use gramc_core::tiling::TileMapping;
+    use gramc_core::MacroConfig;
+    use gramc_linalg::Matrix;
+
+    use super::*;
+    use crate::Placement;
+
+    /// 1,000 park → submit → wake cycles: each job is submitted only once
+    /// the lone worker has gone to sleep. Workers park without a timeout,
+    /// so a lost wakeup leaves the job queued and its one-second wait fails
+    /// instead of hanging the suite; a worker that never parks again fails
+    /// the same way.
+    #[test]
+    fn parked_worker_wakes_for_every_submission() {
+        let rt = Arc::new(Runtime::new(1, 2, MacroConfig::small_ideal(4), 3));
+        let server = RuntimeServer::start(rt.clone());
+        let a = Matrix::from_rows(&[&[1.0, -0.5], &[0.25, 0.75]]);
+        let (op, loaded) =
+            rt.submit_load(&a, TileMapping::FourBit, Placement::Pinned(0)).expect("load");
+        let second = Duration::from_secs(1);
+        loaded.wait_timeout(second).expect("the load is served");
+        let mut parks = 0;
+        for cycle in 0..1000 {
+            let deadline = Instant::now() + second;
+            while rt.parks() == parks {
+                assert!(Instant::now() < deadline, "cycle {cycle}: the worker never parked");
+                std::thread::yield_now();
+            }
+            parks = rt.parks();
+            let job = rt.submit_mvm(op, vec![1.0, 2.0]).expect("submit");
+            if let Err(e) = job.wait_timeout(second) {
+                panic!("cycle {cycle}: the parked worker never served the job: {e:?}");
+            }
+        }
+        let report = server.shutdown();
+        assert_eq!(report.jobs_executed, 1001, "the load and every MVM ran once");
+    }
+}
