@@ -7,18 +7,13 @@
 
 use std::sync::{Arc, Mutex};
 
-use gramc_device::{CellNoise, DeviceParams, LevelQuantizer, Nmos, OneTOneR};
+use gramc_device::{CellNoise, DeviceParams, FaultKind, FaultPlan, LevelQuantizer, Nmos, OneTOneR};
 use gramc_linalg::Matrix;
+use gramc_telemetry::HwCounters;
 use rand::Rng;
 
 use crate::error::ArrayError;
 use crate::write_verify::ProgramOutcome;
-
-#[cfg(feature = "fault-inject")]
-use gramc_device::{FaultKind, FaultPlan};
-
-#[cfg(feature = "telemetry")]
-use gramc_telemetry::HwCounters;
 
 /// The paper's array dimension.
 pub const PAPER_ARRAY_SIZE: usize = 128;
@@ -163,9 +158,8 @@ const CACHE_SLOTS: usize = 8;
 /// same invalidation, so a cell's compact model is evaluated once per
 /// generation. That reuse is not counted as a snapshot hit or miss.
 ///
-/// Under the `fault-inject` feature an installed
-/// [`FaultPlan`](gramc_device::FaultPlan) participates in the same
-/// contract: installing or clearing a plan and advancing the fault clock
+/// An installed [`FaultPlan`](gramc_device::FaultPlan) participates in the
+/// same contract: installing or clearing a plan and advancing the fault clock
 /// ([`advance_fault_time`](Self::advance_fault_time), which moves every
 /// drifting cell) all invalidate the cache, so snapshots never outlive a
 /// change of the faulted state.
@@ -192,18 +186,15 @@ pub struct CrossbarArray {
     /// rather than `RefCell` keeps the array `Send + Sync`; reads are
     /// single-owner in practice, so the lock is uncontended).
     cache: Mutex<ConductanceCache>,
-    #[cfg(feature = "fault-inject")]
     faults: Option<FaultState>,
     /// Hardware event counters (observation only — never touches RNG or
     /// math). Fresh per array; [`set_telemetry`](Self::set_telemetry)
     /// installs a shared sink so a macro group aggregates its arrays.
-    #[cfg(feature = "telemetry")]
     telemetry: Arc<HwCounters>,
 }
 
 /// Installed fault plan plus the array's fault clock and the precomputed
 /// stuck-at conductance rails (from the array's device parameters).
-#[cfg(feature = "fault-inject")]
 #[derive(Debug, Clone)]
 struct FaultState {
     plan: FaultPlan,
@@ -221,11 +212,9 @@ impl Clone for CrossbarArray {
             generation: self.generation,
             // Snapshots are derived data; the clone rebuilds on first read.
             cache: Mutex::new(ConductanceCache::default()),
-            #[cfg(feature = "fault-inject")]
             faults: self.faults.clone(),
             // A clone counts independently; owners sharing a sink re-install
             // it via `set_telemetry`.
-            #[cfg(feature = "telemetry")]
             telemetry: Arc::new(HwCounters::new()),
         }
     }
@@ -250,22 +239,18 @@ impl CrossbarArray {
             cells,
             generation: 0,
             cache: Mutex::new(ConductanceCache::default()),
-            #[cfg(feature = "fault-inject")]
             faults: None,
-            #[cfg(feature = "telemetry")]
             telemetry: Arc::new(HwCounters::new()),
         }
     }
 
     /// Installs a shared hardware-counter sink (e.g. one per macro group)
     /// so this array's events aggregate with its siblings'.
-    #[cfg(feature = "telemetry")]
     pub fn set_telemetry(&mut self, counters: Arc<HwCounters>) {
         self.telemetry = counters;
     }
 
     /// The array's hardware event counters.
-    #[cfg(feature = "telemetry")]
     pub fn telemetry(&self) -> &Arc<HwCounters> {
         &self.telemetry
     }
@@ -279,7 +264,6 @@ impl CrossbarArray {
     /// # Panics
     ///
     /// Panics if the plan's shape differs from the array's.
-    #[cfg(feature = "fault-inject")]
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         assert_eq!(plan.shape(), self.shape(), "fault plan shape must match the array");
         let g_on = self.config.device.conductance_at_gap(self.config.device.gap_min);
@@ -289,7 +273,6 @@ impl CrossbarArray {
     }
 
     /// Removes the installed fault plan (if any) and invalidates the cache.
-    #[cfg(feature = "fault-inject")]
     pub fn clear_fault_plan(&mut self) {
         if self.faults.take().is_some() {
             self.invalidate_cache();
@@ -297,7 +280,6 @@ impl CrossbarArray {
     }
 
     /// The installed fault plan, if any.
-    #[cfg(feature = "fault-inject")]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref().map(|f| &f.plan)
     }
@@ -305,7 +287,6 @@ impl CrossbarArray {
     /// Advances the fault clock by `dt` seconds — drifting cells relax
     /// toward `G_off` accordingly. Invalidates the snapshot cache (the
     /// effective conductances moved). No-op without an installed plan.
-    #[cfg(feature = "fault-inject")]
     pub fn advance_fault_time(&mut self, dt: f64) {
         if let Some(fs) = &mut self.faults {
             fs.time += dt;
@@ -314,14 +295,12 @@ impl CrossbarArray {
     }
 
     /// Seconds on the fault clock since the plan was installed.
-    #[cfg(feature = "fault-inject")]
     pub fn fault_time(&self) -> f64 {
         self.faults.as_ref().map_or(0.0, |f| f.time)
     }
 
     /// What a read of cell `(row, col)` returns given the fault state, for
     /// a fault-free read of `g`.
-    #[cfg(feature = "fault-inject")]
     #[inline]
     fn fault_adjust(&self, g: f64, row: usize, col: usize) -> f64 {
         let Some(fs) = &self.faults else { return g };
@@ -342,16 +321,9 @@ impl CrossbarArray {
         }
     }
 
-    #[cfg(not(feature = "fault-inject"))]
-    #[inline(always)]
-    fn fault_adjust(&self, g: f64, _row: usize, _col: usize) -> f64 {
-        g
-    }
-
     /// The rail a stuck cell reads at, if `(row, col)` is stuck under the
     /// installed plan. Used by the programming paths to detect and report
     /// cells that cannot take their target.
-    #[cfg(feature = "fault-inject")]
     pub(crate) fn stuck_conductance_at(&self, row: usize, col: usize) -> Option<f64> {
         let fs = self.faults.as_ref()?;
         match fs.plan.fault_at(row, col)? {
@@ -359,12 +331,6 @@ impl CrossbarArray {
             FaultKind::StuckAtOff => Some(fs.g_off),
             FaultKind::Drift => None,
         }
-    }
-
-    #[cfg(not(feature = "fault-inject"))]
-    #[inline(always)]
-    pub(crate) fn stuck_conductance_at(&self, _row: usize, _col: usize) -> Option<f64> {
-        None
     }
 
     /// Mutation counter: bumped whenever the array state may have changed
@@ -393,7 +359,6 @@ impl CrossbarArray {
         self.check_region(region)?;
         let mut cache = self.cache.lock().expect("cache lock poisoned");
         if let Some(pos) = cache.entries.iter().position(|s| s.region == region) {
-            #[cfg(feature = "telemetry")]
             self.telemetry.add_snapshot_hits(1);
             // Move to the back (most recently used).
             let mut snap = cache.entries.remove(pos);
@@ -401,7 +366,6 @@ impl CrossbarArray {
             cache.entries.push(snap);
             return Ok(out);
         }
-        #[cfg(feature = "telemetry")]
         self.telemetry.add_snapshot_misses(1);
         let g = self.build_effective_conductances(region)?;
         let mut snap = Snapshot { region, g, g_t: None };
@@ -498,23 +462,34 @@ impl CrossbarArray {
         let mut g = ideal.clone();
         cache.cells.push((region, ideal));
         drop(cache);
+        if sigma != 0.0 {
+            for v in g.as_mut_slice() {
+                *v = (*v * (1.0 + sigma * standard_normal(rng))).max(0.0);
+            }
+        }
+        self.apply_faults(&mut g, region, rng);
+        Ok(g)
+    }
+
+    /// Filters a noisy read of `region` through the installed fault plan:
+    /// stuck and drifting cells first, then read disturb. Returns at once
+    /// when no plan is installed.
+    fn apply_faults<R: Rng + ?Sized>(&self, g: &mut Matrix, region: ActiveRegion, rng: &mut R) {
+        if self.faults.is_none() {
+            return;
+        }
         for i in 0..region.rows {
             for (j, v) in g.row_mut(i).iter_mut().enumerate() {
-                if sigma != 0.0 {
-                    *v = (*v * (1.0 + sigma * standard_normal(rng))).max(0.0);
-                }
                 *v = self.fault_adjust(*v, region.row0 + i, region.col0 + j);
             }
         }
-        self.apply_read_disturb(&mut g, region, rng);
-        Ok(g)
+        self.apply_read_disturb(g, region, rng);
     }
 
     /// Transient read disturb: with an installed plan whose disturb
     /// probability is positive, each noisy sample independently dips by the
     /// configured fraction. Never applied to noise-free (verify/snapshot)
     /// reads; consumes no RNG when the probability is zero.
-    #[cfg(feature = "fault-inject")]
     fn apply_read_disturb<R: Rng + ?Sized>(
         &self,
         g: &mut Matrix,
@@ -534,16 +509,6 @@ impl CrossbarArray {
                 }
             }
         }
-    }
-
-    #[cfg(not(feature = "fault-inject"))]
-    #[inline(always)]
-    fn apply_read_disturb<R: Rng + ?Sized>(
-        &self,
-        _g: &mut Matrix,
-        _region: ActiveRegion,
-        _rng: &mut R,
-    ) {
     }
 
     /// Reads the noise-free conductance matrix of a region.
@@ -678,11 +643,8 @@ impl CrossbarArray {
             });
         }
         // One settle event biases every cell of the region once.
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.add_settle_events(1);
-            self.telemetry.add_read_cycles_mvm((region.rows * region.cols) as u64);
-        }
+        self.telemetry.add_settle_events(1);
+        self.telemetry.add_read_cycles_mvm((region.rows * region.cols) as u64);
         let sigma = self.config.noise.read_rel_sigma;
         self.with_snapshot(region, |snap| {
             let g = &snap.g;
@@ -736,11 +698,8 @@ impl CrossbarArray {
             });
         }
         // One settle event per drive vector, each biasing the whole region.
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.add_settle_events(v_batch.rows() as u64);
-            self.telemetry.add_read_cycles_mvm((v_batch.rows() * region.rows * region.cols) as u64);
-        }
+        self.telemetry.add_settle_events(v_batch.rows() as u64);
+        self.telemetry.add_read_cycles_mvm((v_batch.rows() * region.rows * region.cols) as u64);
         let sigma = self.config.noise.read_rel_sigma;
         self.with_snapshot(region, |snap| {
             // Y = V · Gᵀ, with Gᵀ cached alongside the snapshot.
@@ -786,11 +745,8 @@ impl CrossbarArray {
                 found: (v_rows.len(), 1),
             });
         }
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.add_settle_events(1);
-            self.telemetry.add_read_cycles_mvm((region.rows * region.cols) as u64);
-        }
+        self.telemetry.add_settle_events(1);
+        self.telemetry.add_read_cycles_mvm((region.rows * region.cols) as u64);
         let sigma = self.config.noise.read_rel_sigma;
         self.with_snapshot(region, |snap| {
             let g = &snap.g;
@@ -837,11 +793,8 @@ impl CrossbarArray {
                 found: v_batch.shape(),
             });
         }
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.add_settle_events(v_batch.rows() as u64);
-            self.telemetry.add_read_cycles_mvm((v_batch.rows() * region.rows * region.cols) as u64);
-        }
+        self.telemetry.add_settle_events(v_batch.rows() as u64);
+        self.telemetry.add_read_cycles_mvm((v_batch.rows() * region.rows * region.cols) as u64);
         let sigma = self.config.noise.read_rel_sigma;
         self.with_snapshot(region, |snap| {
             // Y = V · G (no transpose needed for the column direction).
@@ -872,7 +825,7 @@ impl CrossbarArray {
     /// This is the fast path used by the LeNet pipeline; the full pulse-level
     /// path lives in [`crate::WriteVerifyController`].
     ///
-    /// Returns a [`ProgramOutcome`]: without fault injection every cell
+    /// Returns a [`ProgramOutcome`]: without a fault plan every cell
     /// takes its (clamped) target and `failures` is 0; under an installed
     /// fault plan, stuck cells that cannot land within half a level of
     /// their target are counted as failures — the same verify-readback
@@ -900,12 +853,9 @@ impl CrossbarArray {
         self.invalidate_cache();
         // Direct programming models one blind write pulse per cell (the
         // pulse-level path counts its measured pulse total instead).
-        #[cfg(feature = "telemetry")]
-        {
-            let cells = (region.rows * region.cols) as u64;
-            self.telemetry.add_write_cycles(cells);
-            self.telemetry.add_write_pulses(cells);
-        }
+        let cells = region.rows * region.cols;
+        self.telemetry.add_write_cycles(cells as u64);
+        self.telemetry.add_write_pulses(cells as u64);
         let mut failures = 0;
         for i in 0..region.rows {
             for j in 0..region.cols {
@@ -929,7 +879,7 @@ impl CrossbarArray {
                 }
             }
         }
-        Ok(ProgramOutcome { cells: region.rows * region.cols, failures })
+        Ok(ProgramOutcome { cells, failures })
     }
 }
 
@@ -1273,7 +1223,6 @@ mod tests {
         assert_eq!(outcome.failure_frac(), 0.0);
     }
 
-    #[cfg(feature = "fault-inject")]
     mod fault_inject {
         use super::*;
         use gramc_device::{FaultConfig, FaultKind, FaultPlan};

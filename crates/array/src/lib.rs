@@ -37,10 +37,10 @@
 //!   noise-free conductance under the noise is reused, per region and under
 //!   the same invalidation, so each cell's compact model is evaluated once
 //!   per generation; this reuse is not counted as a snapshot hit or miss.
-//! * **Faults invalidate too.** Under the `fault-inject` feature,
-//!   installing/clearing a [`gramc_device::FaultPlan`] and advancing the
-//!   fault clock (conductance drift) invalidate the cache the same way a
-//!   programming pass does, so snapshots never serve a stale fault state.
+//! * **Faults invalidate too.** Installing/clearing a
+//!   [`gramc_device::FaultPlan`] and advancing the fault clock
+//!   (conductance drift) invalidate the cache the same way a programming
+//!   pass does, so snapshots never serve a stale fault state.
 //!
 //! The batched entry points take a `Matrix` whose rows are drive vectors,
 //! amortize one snapshot (plus one transpose) over the whole batch, and
@@ -75,11 +75,9 @@ mod write_verify;
 
 pub use crossbar::{ActiveRegion, ArrayConfig, CrossbarArray, PAPER_ARRAY_SIZE};
 pub use error::ArrayError;
+pub use gramc_device::{FaultConfig, FaultKind, FaultPlan};
 pub use mapping::{BitSlicedMatrix, ConductanceMapper, LevelMatrix, MappedMatrix, SignedEncoding};
 pub use write_verify::{
     reset_staircase, set_staircase, CellReport, ProgramOutcome, ProgramReport, StaircasePoint,
     WriteVerifyConfig, WriteVerifyController,
 };
-
-#[cfg(feature = "fault-inject")]
-pub use gramc_device::{FaultConfig, FaultKind, FaultPlan};

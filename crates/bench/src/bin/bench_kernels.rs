@@ -2,10 +2,9 @@
 //! optimized — matmul (naive / blocked / blocked+threads), multi-RHS LU
 //! substitution, cached vs uncached crossbar MVM, batched vs scalar analog
 //! MVM, and DC-operator reuse — and writes the results to the repo-root
-//! `BENCH_kernels.json` so future PRs can track speedups. With the
-//! `fault-inject` feature the report also carries a **fault sweep**:
-//! serving accuracy and recovery latency of the self-healing runtime as a
-//! function of the stuck-cell rate.
+//! `BENCH_kernels.json` so future PRs can track speedups. The report also
+//! carries a **fault sweep**: serving accuracy and recovery latency of the
+//! self-healing runtime as a function of the stuck-cell rate.
 //!
 //! Both modes also write a `TELEMETRY_report.json` next to the benchmark
 //! report: the sharded runtime's serving metrics (submit→dispatch→complete
@@ -17,8 +16,8 @@
 //! cargo run -p gramc-bench --release --bin bench_kernels [-- output.json]
 //! # CI smoke mode: fault sweep + perf regression gate against a baseline
 //! # (exits non-zero if a gated kernel regresses >20%, machine-normalized):
-//! cargo run -p gramc-bench --release --features fault-inject \
-//!     --bin bench_kernels -- --smoke --baseline BENCH_kernels.json smoke.json
+//! cargo run -p gramc-bench --release --bin bench_kernels -- \
+//!     --smoke --baseline BENCH_kernels.json smoke.json
 //! ```
 
 use gramc_array::{ActiveRegion, ArrayConfig, CrossbarArray};
@@ -346,7 +345,6 @@ fn serving_observatory(
 /// that absorbs the faults. Recovery is not repeatable in place, so each
 /// iteration rebuilds the runtime from scratch and only the drain itself
 /// is timed; the per-rate sample averages `DRAIN_ITERS` such drains.
-#[cfg(feature = "fault-inject")]
 fn fault_sweep(samples: &mut Vec<Sample>, meta: &mut Vec<(String, String)>) {
     use gramc_linalg::vector;
     use gramc_runtime::{FaultConfig, HealthConfig};
@@ -477,15 +475,12 @@ fn main() {
         }
     }
 
-    // Smoke mode, for CI: the (feature-gated) fault sweep plus — when a
-    // baseline is supplied — the machine-normalized perf regression gate.
+    // Smoke mode, for CI: the fault sweep plus — when a baseline is
+    // supplied — the machine-normalized perf regression gate.
     if smoke {
         let mut samples: Vec<Sample> = Vec::new();
         let mut extra_meta: Vec<(String, String)> = Vec::new();
-        #[cfg(feature = "fault-inject")]
         fault_sweep(&mut samples, &mut extra_meta);
-        #[cfg(not(feature = "fault-inject"))]
-        println!("smoke mode: built without the fault-inject feature, skipping fault sweep");
         let sustained_rps = serving_observatory(&out_path, true, &mut samples, &mut extra_meta);
         let regressed = match &baseline_path {
             Some(p) => {
@@ -726,10 +721,9 @@ fn main() {
         );
     }
 
-    // ── fault sweep (feature-gated): accuracy + recovery latency vs rate.
+    // ── fault sweep: accuracy + recovery latency vs rate.
     let mut extra_samples: Vec<Sample> = Vec::new();
     let mut extra_meta: Vec<(String, String)> = Vec::new();
-    #[cfg(feature = "fault-inject")]
     fault_sweep(&mut extra_samples, &mut extra_meta);
 
     // ── serving observatory: persistent server under closed- and open-loop
@@ -744,7 +738,6 @@ fn main() {
         ("threads", gramc_linalg::parallel::max_threads().to_string()),
         ("host_cpus", host_cpus.to_string()),
         ("parallel_feature", gramc_linalg::parallel::feature_enabled().to_string()),
-        ("fault_inject_feature", cfg!(feature = "fault-inject").to_string()),
         ("matmul_512_speedup_vs_naive", format!("{matmul_speedup:.3}")),
         ("matmul_512_speedup_vs_unpacked", format!("{packed_speedup:.3}")),
         ("lu_factor_512_speedup_vs_serial", format!("{lu_factor_speedup:.3}")),

@@ -23,11 +23,8 @@ use gramc_array::{
     ProgramOutcome, SignedEncoding, WriteVerifyController,
 };
 use gramc_circuit::{dc_solve, topology, DcOperator, OpampModel};
-use gramc_device::{CellNoise, LevelQuantizer};
-#[cfg(feature = "fault-inject")]
-use gramc_device::{FaultConfig, FaultPlan};
+use gramc_device::{CellNoise, FaultConfig, FaultPlan, LevelQuantizer};
 use gramc_linalg::{power_iteration, random, vector, Matrix};
-#[cfg(feature = "telemetry")]
 use gramc_telemetry::{HwCounters, HwSnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -270,7 +267,6 @@ pub struct MacroGroup {
     /// One shared hardware-counter sink for the whole group (installed into
     /// every macro's array, so converter events counted here and array
     /// events counted there aggregate in one place).
-    #[cfg(feature = "telemetry")]
     telemetry: Arc<HwCounters>,
 }
 
@@ -280,12 +276,10 @@ impl MacroGroup {
     pub fn new(n_macros: usize, config: MacroConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let quantizer = LevelQuantizer::with_bits(config.nonideal.weight_bits);
-        #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
         let mut macros: Vec<AmcMacro> =
             (0..n_macros).map(|id| AmcMacro::new(id, &config, &mut rng)).collect();
         // Counter installation happens after all RNG-driven construction:
         // telemetry never touches the random stream.
-        #[cfg(feature = "telemetry")]
         let telemetry = {
             let counters = Arc::new(HwCounters::new());
             for m in &mut macros {
@@ -294,27 +288,16 @@ impl MacroGroup {
             counters
         };
         let write_verify = WriteVerifyController::new(Default::default(), quantizer.clone());
-        Self {
-            config,
-            macros,
-            operators: Vec::new(),
-            quantizer,
-            write_verify,
-            rng,
-            #[cfg(feature = "telemetry")]
-            telemetry,
-        }
+        Self { config, macros, operators: Vec::new(), quantizer, write_verify, rng, telemetry }
     }
 
     /// The group's shared hardware event counters (also the sink of every
     /// member array).
-    #[cfg(feature = "telemetry")]
     pub fn telemetry(&self) -> &Arc<HwCounters> {
         &self.telemetry
     }
 
     /// A point-in-time copy of the group's hardware counters.
-    #[cfg(feature = "telemetry")]
     pub fn hw_snapshot(&self) -> HwSnapshot {
         self.telemetry.snapshot()
     }
@@ -616,11 +599,8 @@ impl MacroGroup {
         // One DAC drive per input column, shared across planes; one ADC
         // conversion per row per differential pair. Settles and cell reads
         // are counted by `row_currents` inside the array.
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.add_dac_drives(cols as u64);
-            self.telemetry.add_adc_conversions((rows * (nplanes / 2)) as u64);
-        }
+        self.telemetry.add_dac_drives(cols as u64);
+        self.telemetry.add_adc_conversions((rows * (nplanes / 2)) as u64);
 
         // Per-plane row currents.
         let mut currents = Vec::with_capacity(nplanes);
@@ -762,17 +742,14 @@ impl MacroGroup {
         // the macro itself accounts for the per-driven-row analog events:
         // each nonzero batch row drives the DACs once, settles every plane,
         // reads every cell of every plane, and converts rows × pairs ADCs.
-        #[cfg(feature = "telemetry")]
-        {
-            let driven = x_maxes.iter().filter(|&&m| m != 0.0).count() as u64;
-            self.telemetry.add_dac_drives(driven * cols as u64);
-            self.telemetry.add_settle_events(driven * nplanes as u64);
-            self.telemetry.add_read_cycles_mvm(driven * (nplanes * rows * cols) as u64);
-            self.telemetry.add_adc_conversions(driven * (rows * (nplanes / 2)) as u64);
-        }
+        let driven = x_maxes.iter().filter(|&&m| m != 0.0).count() as u64;
+        self.telemetry.add_dac_drives(driven * cols as u64);
+        self.telemetry.add_settle_events(driven * nplanes as u64);
+        self.telemetry.add_read_cycles_mvm(driven * (nplanes * rows * cols) as u64);
+        self.telemetry.add_adc_conversions(driven * (rows * (nplanes / 2)) as u64);
         // Plane drives are independent analog events: fan them out over
-        // scoped threads (serial and in order when the feature is off or
-        // only one core is available — same results either way).
+        // scoped threads (serial and in order when the `parallel` feature is
+        // off or only one core is available — same results either way).
         let currents: Vec<Matrix> =
             gramc_linalg::parallel::map_collect(&gs_t, |g_t| v_mat.matmul(g_t));
         let mut out = Matrix::zeros(bsz, rows);
@@ -993,7 +970,6 @@ impl MacroGroup {
             return Ok(xs.into_iter().map(|x| x.expect("all columns zero")).collect());
         }
         // One DAC drive per element of every active injection column.
-        #[cfg(feature = "telemetry")]
         self.telemetry.add_dac_drives((active.len() * rows) as u64);
 
         // One noisy conductance read shared by the whole batch (the
@@ -1040,11 +1016,8 @@ impl MacroGroup {
             }
             // Every ranging attempt settles the feedback loop once per
             // still-active column, biasing both planes of the region.
-            #[cfg(feature = "telemetry")]
-            {
-                self.telemetry.add_solve_settles(active.len() as u64);
-                self.telemetry.add_read_cycles_solve((active.len() * 2 * rows * cols) as u64);
-            }
+            self.telemetry.add_solve_settles(active.len() as u64);
+            self.telemetry.add_read_cycles_solve((active.len() * 2 * rows * cols) as u64);
             let mut rhs = Matrix::zeros(dc_op.dim(), active.len());
             for (k, &ci) in active.iter().enumerate() {
                 for (&src, &qb) in input_sources.iter().zip(&quantized[ci]) {
@@ -1072,7 +1045,6 @@ impl MacroGroup {
                     alphas[ci] *= 0.5;
                     railed.push(ci);
                 } else {
-                    #[cfg(feature = "telemetry")]
                     self.telemetry.add_adc_conversions(cols as u64);
                     xs[ci] = Some(
                         volts
@@ -1215,12 +1187,9 @@ impl MacroGroup {
         };
         // Every loop iteration is one analog settle of the feedback loop
         // reading both planes; the settled mode is captured once per row.
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.add_solve_settles(iterations as u64);
-            self.telemetry.add_read_cycles_solve((iterations * 2 * n * n) as u64);
-            self.telemetry.add_adc_conversions(n as u64);
-        }
+        self.telemetry.add_solve_settles(iterations as u64);
+        self.telemetry.add_read_cycles_solve((iterations * 2 * n * n) as u64);
+        self.telemetry.add_adc_conversions(n as u64);
 
         // ADC capture and normalization.
         let adc = self.macros[planes[0].macro_id].adc;
@@ -1289,11 +1258,10 @@ impl MacroGroup {
     }
 }
 
-/// Fault-injection controls (the `fault-inject` feature): install one
-/// seeded [`FaultPlan`] per macro, advance the shared fault clock, and
-/// clear. Each macro gets a decorrelated seed derived from the campaign
-/// seed, so a group-level injection is reproducible end to end.
-#[cfg(feature = "fault-inject")]
+/// Fault-injection controls: install one seeded [`FaultPlan`] per macro,
+/// advance the shared fault clock, and clear. Each macro gets a
+/// decorrelated seed derived from the campaign seed, so a group-level
+/// injection is reproducible end to end.
 impl MacroGroup {
     /// Samples and installs a fault plan on every macro's crossbar.
     ///

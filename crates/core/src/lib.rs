@@ -35,12 +35,8 @@ pub use amc_macro::{
 };
 pub use converter::{Adc, Dac};
 pub use error::CoreError;
-pub use gramc_array::ProgramOutcome;
-#[cfg(feature = "telemetry")]
-pub use gramc_telemetry::{HwCounters, HwSnapshot};
-
 pub use functional::{argmax, pool2d, requantize, softmax, Activation, Pooling};
-#[cfg(feature = "fault-inject")]
-pub use gramc_array::{FaultConfig, FaultKind, FaultPlan};
+pub use gramc_array::{FaultConfig, FaultKind, FaultPlan, ProgramOutcome};
+pub use gramc_telemetry::{HwCounters, HwSnapshot};
 pub use nonideal::{NonidealityConfig, ProgrammingMode};
 pub use registers::{GateConfiguration, MacroMode, OpampRole, RegisterArray};

@@ -9,9 +9,7 @@
 //! them.
 
 use gramc_linalg::Matrix;
-#[cfg(feature = "telemetry")]
 use gramc_telemetry::HwSnapshot;
-#[cfg(feature = "telemetry")]
 use std::collections::BTreeMap;
 
 use crate::amc_macro::{MacroConfig, MacroGroup, OperatorId};
@@ -83,7 +81,6 @@ pub struct GramcSystem {
     stats: RunStats,
     /// Hardware events attributed to the instruction mnemonic that caused
     /// them (accumulated since the last `load_program`).
-    #[cfg(feature = "telemetry")]
     instr_hw: BTreeMap<&'static str, HwSnapshot>,
 }
 
@@ -109,7 +106,6 @@ impl GramcSystem {
             flags: FlagRegister::default(),
             slots: [None; OPERATOR_SLOTS],
             stats: RunStats::default(),
-            #[cfg(feature = "telemetry")]
             instr_hw: BTreeMap::new(),
         }
     }
@@ -153,14 +149,12 @@ impl GramcSystem {
         self.pc = 0;
         self.flags = FlagRegister::default();
         self.stats = RunStats::default();
-        #[cfg(feature = "telemetry")]
         self.instr_hw.clear();
     }
 
     /// Hardware counter deltas attributed per instruction mnemonic since
     /// the last [`load_program`](Self::load_program): which instructions
     /// drove the DACs, settled the arrays, burned write pulses.
-    #[cfg(feature = "telemetry")]
     pub fn instruction_telemetry(&self) -> &BTreeMap<&'static str, HwSnapshot> {
         &self.instr_hw
     }
@@ -263,7 +257,6 @@ impl GramcSystem {
         })?;
         self.pc += 1;
         self.stats.instructions += 1;
-        #[cfg(feature = "telemetry")]
         let hw_before = self.group.hw_snapshot();
 
         match inst {
@@ -399,18 +392,14 @@ impl GramcSystem {
                 }
             }
         }
-        #[cfg(feature = "telemetry")]
-        {
-            let delta = self.group.hw_snapshot().since(&hw_before);
-            if !delta.is_zero() {
-                *self.instr_hw.entry(Self::mnemonic(&inst)).or_default() += &delta;
-            }
+        let delta = self.group.hw_snapshot().since(&hw_before);
+        if !delta.is_zero() {
+            *self.instr_hw.entry(Self::mnemonic(&inst)).or_default() += &delta;
         }
         Ok(!self.flags.halted)
     }
 
     /// Attribution key for one decoded instruction.
-    #[cfg(feature = "telemetry")]
     fn mnemonic(inst: &Instruction) -> &'static str {
         match inst {
             Instruction::Nop => "nop",

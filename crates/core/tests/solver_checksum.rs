@@ -63,14 +63,11 @@ fn inv_and_pinv_outputs_match_pinned_checksum() {
     }
     assert_eq!(acc, 0x62AC_965C_A0A7_6229, "INV/PINV output checksum drifted: {acc:#018X}");
 
-    #[cfg(feature = "telemetry")]
-    {
-        let hw = g.hw_snapshot();
-        let fields: Vec<u64> = hw.fields().iter().map(|&(_, v)| v).collect();
-        assert_eq!(
-            fields,
-            [5888, 3968, 0, 124, 6144, 6144, 0, 376832, 0, 0],
-            "solver hardware counters drifted: {hw:?}"
-        );
-    }
+    let hw = g.hw_snapshot();
+    let fields: Vec<u64> = hw.fields().iter().map(|&(_, v)| v).collect();
+    assert_eq!(
+        fields,
+        [5888, 3968, 0, 124, 6144, 6144, 0, 376832, 0, 0],
+        "solver hardware counters drifted: {hw:?}"
+    );
 }

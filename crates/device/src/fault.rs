@@ -10,7 +10,7 @@
 //! recovery logic can be tested bit-for-bit.
 //!
 //! The plan itself is pure data — applying it to reads is the array
-//! layer's job (`gramc-array` under its `fault-inject` feature).
+//! layer's job (`gramc-array`'s `CrossbarArray::install_fault_plan`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -210,9 +210,6 @@ impl JobKind {
 /// per rider, in submission order (the split's remainder assignment is
 /// keyed to that order, so attribution is deterministic).
 #[derive(Debug, Clone, Copy)]
-// `tenant`/`rows` feed attribution, which is telemetry-only; the meta
-// still rides along without the feature so quota release stays uniform.
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 pub(crate) struct RequestMeta {
     pub request: RequestId,
     pub tenant: TenantId,
@@ -222,19 +219,12 @@ pub(crate) struct RequestMeta {
     /// Submission timestamp on the journal clock (riders stamp their own;
     /// enqueued jobs are stamped at ticket assignment — a re-dispatch
     /// restamps, matching the per-dispatch latency contract).
-    #[cfg(feature = "telemetry")]
     pub submit_ns: u64,
 }
 
 impl RequestMeta {
     pub fn new(request: RequestId, tenant: TenantId, rows: u64) -> Self {
-        Self {
-            request,
-            tenant,
-            rows,
-            #[cfg(feature = "telemetry")]
-            submit_ns: 0,
-        }
+        Self { request, tenant, rows, submit_ns: 0 }
     }
 }
 
@@ -256,10 +246,8 @@ pub(crate) struct Job {
     pub retries: u32,
     /// Enqueue timestamp feeding the serving histograms (a re-dispatched
     /// job restarts the clock; its measured latency is per dispatch).
-    #[cfg(feature = "telemetry")]
     pub submitted: Instant,
     /// Enqueue timestamp on the journal clock, so the queued span of the
     /// submit→complete breakdown starts exactly at submission.
-    #[cfg(feature = "telemetry")]
     pub submit_ns: u64,
 }

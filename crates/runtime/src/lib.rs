@@ -102,18 +102,15 @@
 //!   degraded dispatches and records an [`HealthEvent::OperatorDegraded`]
 //!   per affected operator.
 //!
-//! Fault injection (the `fault-inject` feature, re-exported from
-//! `gramc-core`) drives all four channels deterministically in tests and
+//! Fault injection drives all four channels deterministically in tests and
 //! benches: [`Runtime::inject_shard_faults`] installs a seeded
-//! [`FaultPlan`](gramc_core::FaultPlan) on one shard's macros; an all-zero
-//! [`FaultConfig`] is bit-identical to the feature being off.
+//! [`FaultPlan`] on one shard's macros; an all-zero [`FaultConfig`] is
+//! bit-identical to installing no plan at all.
 //!
 //! ## Observability
 //!
-//! With the `telemetry` feature (on by default) the runtime meters itself
-//! without perturbing results — counters never touch the RNG or the math,
-//! so a telemetered run is bit-identical to a `--no-default-features
-//! --features parallel` build. Four surfaces:
+//! The runtime always meters itself, without perturbing results: counters
+//! never touch the RNG or the math. Four surfaces:
 //!
 //! * **Hardware counters** — every analog event (DAC drives, ADC
 //!   conversions, settles, write pulses, cell read/write cycles,
@@ -274,9 +271,7 @@ mod job;
 mod registry;
 mod runtime;
 mod server;
-#[cfg(feature = "telemetry")]
 mod slo;
-#[cfg(feature = "telemetry")]
 mod telemetry;
 mod tenant;
 mod tiling;
@@ -290,22 +285,14 @@ pub use server::{RuntimeServer, ServeReport};
 pub use tenant::{RequestId, TenantId, TenantQuota};
 pub use tiling::ShardedTiledOperator;
 
-pub use gramc_core::{ProbeReport, ProgramOutcome};
-
-#[cfg(feature = "telemetry")]
 pub use server::MetricsReporter;
-#[cfg(feature = "telemetry")]
 pub use slo::{SloAlert, SloAlertKind, SloConfig, SloMonitor};
-#[cfg(feature = "telemetry")]
 pub use telemetry::{
     KindMetrics, MetricsSnapshot, ShardMetrics, SloMetrics, TenantMetrics, METRICS_SCHEMA_VERSION,
 };
 
-#[cfg(feature = "telemetry")]
+pub use gramc_core::{FaultConfig, FaultKind, FaultPlan, ProbeReport, ProgramOutcome};
 pub use gramc_telemetry::{
     EventJournal, FlowPhase, HistogramSnapshot, HwCounters, HwSnapshot, JournalEvent,
     LatencyHistogram,
 };
-
-#[cfg(feature = "fault-inject")]
-pub use gramc_core::{FaultConfig, FaultKind, FaultPlan};

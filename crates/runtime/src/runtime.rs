@@ -7,18 +7,15 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gramc_core::tiling::TileMapping;
-#[cfg(feature = "fault-inject")]
 use gramc_core::FaultConfig;
 use gramc_core::{CoreError, MacroConfig, MacroGroup, ProbeReport};
 use gramc_linalg::{lu, qr, vector, Matrix};
-#[cfg(feature = "telemetry")]
 use gramc_telemetry::{FlowPhase, HwSnapshot, JournalEvent};
 
 use crate::error::RuntimeError;
 use crate::health::{HealthConfig, HealthEvent, ShardHealth};
 use crate::job::{Job, JobHandle, JobKind, JobOutput, RequestMeta, Slot};
 use crate::registry::{ExecTarget, FreeTarget, OperatorHandle, Placement, Registry};
-#[cfg(feature = "telemetry")]
 use crate::telemetry::{
     kind_index, kind_queued_name, kind_span_name, split_hw, MetricsSnapshot, RtTelemetry,
     WORKER_LANE_BASE,
@@ -61,11 +58,9 @@ pub struct RunSummary {
     pub events: Vec<HealthEvent>,
     /// Hardware events this drain's job bodies caused (snapshot-diffed
     /// under each shard's group lock, so the attribution is exact).
-    #[cfg(feature = "telemetry")]
     pub hw: HwSnapshot,
 }
 
-#[cfg(feature = "telemetry")]
 impl RunSummary {
     /// Modeled analog latency/energy of this drain's hardware events.
     pub fn analog_cost(
@@ -158,7 +153,6 @@ pub struct Runtime {
     events: Mutex<Vec<HealthEvent>>,
     failed_checks: AtomicUsize,
     degraded: AtomicUsize,
-    #[cfg(feature = "telemetry")]
     telemetry: RtTelemetry,
 }
 
@@ -221,7 +215,6 @@ impl Runtime {
             events: Mutex::new(Vec::new()),
             failed_checks: AtomicUsize::new(0),
             degraded: AtomicUsize::new(0),
-            #[cfg(feature = "telemetry")]
             telemetry: RtTelemetry::new(shards),
         }
     }
@@ -291,7 +284,6 @@ impl Runtime {
     /// events). Serving runs dense enough to wrap the default ring surface
     /// a non-zero drop rate in the metrics stream — size the ring to the
     /// run instead of losing the early spans.
-    #[cfg(feature = "telemetry")]
     #[must_use]
     pub fn with_journal_capacity(mut self, capacity: usize) -> Self {
         self.telemetry.journal = gramc_telemetry::EventJournal::new(capacity);
@@ -313,11 +305,8 @@ impl Runtime {
         if !entry.try_acquire(limit) {
             let limit = limit.expect("acquire only fails under a quota");
             entry.rejected.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
-            {
-                self.telemetry.rejected.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.journal.instant("rejected_tenant", "runtime", limit as u64, 0);
-            }
+            self.telemetry.rejected.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.journal.instant("rejected_tenant", "runtime", limit as u64, 0);
             return Err(RuntimeError::QueueFull { limit });
         }
         entry.requests.fetch_add(1, Ordering::Relaxed);
@@ -332,11 +321,8 @@ impl Runtime {
             return Ok(());
         };
         if self.remaining.load(Ordering::SeqCst) >= limit {
-            #[cfg(feature = "telemetry")]
-            {
-                self.telemetry.rejected.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.journal.instant("rejected", "runtime", limit as u64, 0);
-            }
+            self.telemetry.rejected.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.journal.instant("rejected", "runtime", limit as u64, 0);
             return Err(RuntimeError::QueueFull { limit });
         }
         Ok(())
@@ -414,7 +400,7 @@ impl Runtime {
         shard: usize,
         kind: JobKind,
         slots: Vec<Arc<Slot>>,
-        #[allow(unused_mut)] mut meta: Vec<RequestMeta>,
+        mut meta: Vec<RequestMeta>,
         retries: u32,
     ) {
         let q = match self.queue_policy {
@@ -424,30 +410,24 @@ impl Runtime {
         let mut queue = self.queues[q].lock().expect("queue lock");
         let ticket = self.shards[shard].next_ticket.fetch_add(1, Ordering::SeqCst);
         let prev_depth = self.remaining.fetch_add(1, Ordering::SeqCst);
-        #[cfg(feature = "telemetry")]
         let submit_ns = self.telemetry.journal.now_ns();
-        #[cfg(feature = "telemetry")]
-        {
-            // Riders stamp themselves at their own submission; the job's
-            // requests are stamped here, at ticket assignment (a
-            // re-dispatch restamps — per-dispatch latency, matching the
-            // serving histograms).
-            for m in &mut meta {
-                m.submit_ns = submit_ns;
-            }
-            self.telemetry.queue_depth_max.fetch_max(prev_depth + 1, Ordering::Relaxed);
-            self.telemetry.journal.record(JournalEvent {
-                name: "submit",
-                category: "runtime",
-                ts_ns: submit_ns,
-                dur_ns: 0,
-                arg_a: shard as u64,
-                arg_b: ticket,
-                ..JournalEvent::default()
-            });
+        // Riders stamp themselves at their own submission; the job's
+        // requests are stamped here, at ticket assignment (a
+        // re-dispatch restamps — per-dispatch latency, matching the
+        // serving histograms).
+        for m in &mut meta {
+            m.submit_ns = submit_ns;
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = prev_depth;
+        self.telemetry.queue_depth_max.fetch_max(prev_depth + 1, Ordering::Relaxed);
+        self.telemetry.journal.record(JournalEvent {
+            name: "submit",
+            category: "runtime",
+            ts_ns: submit_ns,
+            dur_ns: 0,
+            arg_a: shard as u64,
+            arg_b: ticket,
+            ..JournalEvent::default()
+        });
         queue.push_back(Job {
             shard,
             ticket,
@@ -455,9 +435,7 @@ impl Runtime {
             slots,
             meta,
             retries,
-            #[cfg(feature = "telemetry")]
             submitted: std::time::Instant::now(),
-            #[cfg(feature = "telemetry")]
             submit_ns,
         });
         drop(queue);
@@ -589,24 +567,20 @@ impl Runtime {
         // The pending lock is held across the enqueue so opening the batch
         // and taking its ticket are atomic.
         let mut pending = self.pending_mvm.lock().expect("pending lock");
-        let batch = pending.entry(op).or_default();
-        let opens_batch = batch.xs.is_empty();
+        let opens_batch = !pending.contains_key(&op);
         if opens_batch {
             self.admit()?;
         }
         // Tenant admission is the last fallible step: a rejected request
-        // has joined nothing.
+        // has joined nothing, and no batch was opened for it.
         self.admit_tenant(&entry)?;
         let request = self.mint_request();
         let jh = JobHandle::new(request, entry);
-        #[allow(unused_mut)]
         let mut m = RequestMeta::new(request, tenant, 1);
-        #[cfg(feature = "telemetry")]
-        {
-            // Riders stamp their own submission time — their queue wait
-            // starts here, not at the batch's ticket.
-            m.submit_ns = self.telemetry.journal.now_ns();
-        }
+        // Riders stamp their own submission time — their queue wait
+        // starts here, not at the batch's ticket.
+        m.submit_ns = self.telemetry.journal.now_ns();
+        let batch = pending.entry(op).or_default();
         batch.xs.push(x);
         batch.slots.push(jh.slot.clone());
         batch.meta.push(m);
@@ -616,7 +590,6 @@ impl Runtime {
             self.enqueue(shard, JobKind::MvmMany { handle: op }, Vec::new(), Vec::new());
         } else {
             // Joined an already-open batch: no new job, just one more rider.
-            #[cfg(feature = "telemetry")]
             self.telemetry.journal.instant(
                 "coalesce",
                 "runtime",
@@ -974,7 +947,6 @@ impl Runtime {
         let stolen_before = self.stolen.load(Ordering::SeqCst);
         let failed_before = self.failed_checks.load(Ordering::SeqCst);
         let degraded_before = self.degraded.load(Ordering::SeqCst);
-        #[cfg(feature = "telemetry")]
         let hw_before = self.telemetry.kind_hw_total();
         self.drain();
         let per_worker: Vec<usize> = self
@@ -990,7 +962,6 @@ impl Runtime {
             failed_checks: self.failed_checks.load(Ordering::SeqCst) - failed_before,
             degraded: self.degraded.load(Ordering::SeqCst) - degraded_before,
             events: std::mem::take(&mut *self.events.lock().expect("events lock")),
-            #[cfg(feature = "telemetry")]
             hw: self.telemetry.kind_hw_total().since(&hw_before),
         }
     }
@@ -1001,7 +972,6 @@ impl Runtime {
     /// histograms, the queue-depth high-water mark, per-shard scheduler
     /// counters and per-job-kind hardware attribution. Cheap (atomic
     /// loads); callable at any time, including between drains.
-    #[cfg(feature = "telemetry")]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot::capture(
             &self.telemetry,
@@ -1011,7 +981,6 @@ impl Runtime {
     }
 
     /// The telemetry sink, for in-crate observers (the SLO monitor).
-    #[cfg(feature = "telemetry")]
     pub(crate) fn rt_telemetry(&self) -> &RtTelemetry {
         &self.telemetry
     }
@@ -1022,7 +991,6 @@ impl Runtime {
     /// driven through [`shard_group`](Self::shard_group) directly. Briefly
     /// locks each
     /// group in turn — do not call while holding a shard group guard.
-    #[cfg(feature = "telemetry")]
     pub fn hw_snapshot(&self) -> HwSnapshot {
         let mut total = HwSnapshot::default();
         for s in &self.shards {
@@ -1033,7 +1001,6 @@ impl Runtime {
 
     /// The event journal (job spans, coalesce/submit instants, health
     /// events) exported in chrome://tracing trace-event JSON.
-    #[cfg(feature = "telemetry")]
     pub fn journal_chrome_trace(&self) -> String {
         self.telemetry.journal.to_chrome_trace()
     }
@@ -1185,7 +1152,6 @@ impl Runtime {
             if let Some(idx) = queue.iter().rposition(|job| self.is_due(job)) {
                 let job = queue.remove(idx).expect("index from rposition");
                 self.stolen.fetch_add(1, Ordering::SeqCst);
-                #[cfg(feature = "telemetry")]
                 self.telemetry.per_shard[job.shard].steals.fetch_add(1, Ordering::Relaxed);
                 return Some(job);
             }
@@ -1215,23 +1181,15 @@ impl Runtime {
         //
         // `kind_ix` is taken *before* hydration turns an `MvmMany` into an
         // `MvmSet`, so coalesced batches keep attributing as `mvm_many`.
-        #[cfg(feature = "telemetry")]
         let (dispatched, span_start, kind_ix) =
             (std::time::Instant::now(), self.telemetry.journal.now_ns(), kind_index(&job.kind));
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut group = shard.group.lock().expect("shard lock");
             // Snapshot-diff under the shard lock: no other job of this
             // shard can interleave, so the delta is exactly this job's.
-            #[cfg(feature = "telemetry")]
-            {
-                let hw_before = group.hw_snapshot();
-                let verdict = self.run_kind(&mut group, &mut job);
-                (verdict, group.hw_snapshot().since(&hw_before))
-            }
-            #[cfg(not(feature = "telemetry"))]
-            {
-                self.run_kind(&mut group, &mut job)
-            }
+            let hw_before = group.hw_snapshot();
+            let verdict = self.run_kind(&mut group, &mut job);
+            (verdict, group.hw_snapshot().since(&hw_before))
         }));
         shard.exec_ticket.store(job.ticket + 1, Ordering::SeqCst);
         self.executed[w].fetch_add(1, Ordering::SeqCst);
@@ -1240,7 +1198,6 @@ impl Runtime {
         // tenant split — each rider's share proportional to its row
         // weight, remainder-exact, so the tenant totals always sum to the
         // per-kind totals bit-for-bit.
-        #[cfg(feature = "telemetry")]
         let run = run.map(|(verdict, delta)| {
             self.telemetry.record_job(kind_ix, &delta);
             if !job.meta.is_empty() {
@@ -1252,78 +1209,73 @@ impl Runtime {
             }
             verdict
         });
-        #[cfg(feature = "telemetry")]
-        {
-            let completed = std::time::Instant::now();
-            let exec_ns = completed.duration_since(dispatched).as_nanos() as u64;
-            let t = &self.telemetry;
-            t.submit_to_dispatch
-                .record_ns(dispatched.duration_since(job.submitted).as_nanos() as u64);
-            t.dispatch_to_complete.record_ns(exec_ns);
-            t.submit_to_complete
-                .record_ns(completed.duration_since(job.submitted).as_nanos() as u64);
-            t.per_shard[job.shard].busy_ns.fetch_add(exec_ns, Ordering::Relaxed);
-            let exec_dur = exec_ns.max(1);
-            let end_ns = span_start + exec_dur;
-            // Per-tenant latency: one record per riding request, per
-            // dispatch (a re-dispatched job restarts the clock, matching
-            // the global serving histograms).
-            for m in &job.meta {
-                self.tenants.entry(m.tenant).latency.record_ns(end_ns.saturating_sub(m.submit_ns));
-            }
-            // The submit→complete breakdown as two abutting duration spans:
-            // the queue wait on the job's shard lane, the execution on the
-            // executing worker's lane. The queued span doubles as the lead
-            // request's flow *start*; riders of a hydrated coalesced batch
-            // get their own queue-wait span (their wait began at their own
-            // submission) starting their own flow.
-            let lead_flow = job.meta.first().map_or(0, |m| m.request.0);
+        let completed = std::time::Instant::now();
+        let exec_ns = completed.duration_since(dispatched).as_nanos() as u64;
+        let t = &self.telemetry;
+        t.submit_to_dispatch.record_ns(dispatched.duration_since(job.submitted).as_nanos() as u64);
+        t.dispatch_to_complete.record_ns(exec_ns);
+        t.submit_to_complete.record_ns(completed.duration_since(job.submitted).as_nanos() as u64);
+        t.per_shard[job.shard].busy_ns.fetch_add(exec_ns, Ordering::Relaxed);
+        let exec_dur = exec_ns.max(1);
+        let end_ns = span_start + exec_dur;
+        // Per-tenant latency: one record per riding request, per
+        // dispatch (a re-dispatched job restarts the clock, matching
+        // the global serving histograms).
+        for m in &job.meta {
+            self.tenants.entry(m.tenant).latency.record_ns(end_ns.saturating_sub(m.submit_ns));
+        }
+        // The submit→complete breakdown as two abutting duration spans:
+        // the queue wait on the job's shard lane, the execution on the
+        // executing worker's lane. The queued span doubles as the lead
+        // request's flow *start*; riders of a hydrated coalesced batch
+        // get their own queue-wait span (their wait began at their own
+        // submission) starting their own flow.
+        let lead_flow = job.meta.first().map_or(0, |m| m.request.0);
+        t.journal.record(JournalEvent {
+            name: kind_queued_name(kind_ix),
+            category: "runtime",
+            ts_ns: job.submit_ns,
+            dur_ns: span_start.saturating_sub(job.submit_ns).max(1),
+            arg_a: job.shard as u64,
+            arg_b: job.ticket,
+            flow: if lead_flow == 0 { FlowPhase::None } else { FlowPhase::Start },
+            flow_id: lead_flow,
+        });
+        for m in job.meta.iter().skip(1) {
             t.journal.record(JournalEvent {
-                name: kind_queued_name(kind_ix),
+                name: "queued:rider",
                 category: "runtime",
-                ts_ns: job.submit_ns,
-                dur_ns: span_start.saturating_sub(job.submit_ns).max(1),
+                ts_ns: m.submit_ns,
+                dur_ns: span_start.saturating_sub(m.submit_ns).max(1),
                 arg_a: job.shard as u64,
                 arg_b: job.ticket,
-                flow: if lead_flow == 0 { FlowPhase::None } else { FlowPhase::Start },
-                flow_id: lead_flow,
+                flow: FlowPhase::Start,
+                flow_id: m.request.0,
             });
-            for m in job.meta.iter().skip(1) {
-                t.journal.record(JournalEvent {
-                    name: "queued:rider",
-                    category: "runtime",
-                    ts_ns: m.submit_ns,
-                    dur_ns: span_start.saturating_sub(m.submit_ns).max(1),
-                    arg_a: job.shard as u64,
-                    arg_b: job.ticket,
-                    flow: FlowPhase::Start,
-                    flow_id: m.request.0,
-                });
-            }
-            // The execution span, recorded explicitly so each request's
-            // flow *end* can land at its midpoint — that is how chrome
-            // (and `trace_analyze`) bind the arrows to this slice.
+        }
+        // The execution span, recorded explicitly so each request's
+        // flow *end* can land at its midpoint — that is how chrome
+        // (and `trace_analyze`) bind the arrows to this slice.
+        t.journal.record(JournalEvent {
+            name: kind_span_name(kind_ix),
+            category: "runtime",
+            ts_ns: span_start,
+            dur_ns: exec_dur,
+            arg_a: WORKER_LANE_BASE + w as u64,
+            arg_b: job.ticket,
+            ..JournalEvent::default()
+        });
+        for m in &job.meta {
             t.journal.record(JournalEvent {
-                name: kind_span_name(kind_ix),
-                category: "runtime",
-                ts_ns: span_start,
-                dur_ns: exec_dur,
+                name: "req",
+                category: "flow",
+                ts_ns: span_start + exec_dur / 2,
+                dur_ns: 0,
                 arg_a: WORKER_LANE_BASE + w as u64,
-                arg_b: job.ticket,
-                ..JournalEvent::default()
+                arg_b: m.rows,
+                flow: FlowPhase::End,
+                flow_id: m.request.0,
             });
-            for m in &job.meta {
-                t.journal.record(JournalEvent {
-                    name: "req",
-                    category: "flow",
-                    ts_ns: span_start + exec_dur / 2,
-                    dur_ns: 0,
-                    arg_a: WORKER_LANE_BASE + w as u64,
-                    arg_b: m.rows,
-                    flow: FlowPhase::End,
-                    flow_id: m.request.0,
-                });
-            }
         }
         // Recovery runs here, after the group lock is released — healing
         // locks other shards' groups and must never do so while holding
@@ -1333,7 +1285,6 @@ impl Runtime {
         match run {
             Ok(Verdict::Done) => {}
             Ok(Verdict::Requeue { to, kind, slots, meta }) => {
-                #[cfg(feature = "telemetry")]
                 self.telemetry.per_shard[job.shard].requeues.fetch_add(1, Ordering::Relaxed);
                 self.enqueue_job(to, kind, slots, meta, job.retries);
             }
@@ -1763,24 +1714,19 @@ impl Runtime {
     }
 
     fn push_event(&self, event: HealthEvent) {
-        #[cfg(feature = "telemetry")]
-        {
-            let (name, a, b) = match &event {
-                HealthEvent::ShardQuarantined { shard, failures } => {
-                    ("shard_quarantined", *shard as u64, u64::from(*failures))
-                }
-                HealthEvent::OperatorMigrated { from, to, .. } => {
-                    ("operator_migrated", *from as u64, *to as u64)
-                }
-                HealthEvent::OperatorDegraded { shard, .. } => {
-                    ("operator_degraded", *shard as u64, 0)
-                }
-                HealthEvent::LoadFailedVerify { shard, failed_cells, .. } => {
-                    ("load_failed_verify", *shard as u64, *failed_cells as u64)
-                }
-            };
-            self.telemetry.journal.instant(name, "health", a, b);
-        }
+        let (name, a, b) = match &event {
+            HealthEvent::ShardQuarantined { shard, failures } => {
+                ("shard_quarantined", *shard as u64, u64::from(*failures))
+            }
+            HealthEvent::OperatorMigrated { from, to, .. } => {
+                ("operator_migrated", *from as u64, *to as u64)
+            }
+            HealthEvent::OperatorDegraded { shard, .. } => ("operator_degraded", *shard as u64, 0),
+            HealthEvent::LoadFailedVerify { shard, failed_cells, .. } => {
+                ("load_failed_verify", *shard as u64, *failed_cells as u64)
+            }
+        };
+        self.telemetry.journal.instant(name, "health", a, b);
         self.events.lock().expect("events lock").push(event);
     }
 
@@ -1814,7 +1760,6 @@ impl Runtime {
         if retries < self.health_cfg.max_retries {
             match self.registry.lock().expect("registry lock").exec_target(op) {
                 Ok(ExecTarget::Analog { shard: home, .. }) => {
-                    #[cfg(feature = "telemetry")]
                     self.telemetry.per_shard[shard].retries.fetch_add(1, Ordering::Relaxed);
                     self.enqueue_job(home, kind, slots, meta, retries + 1);
                     return;
@@ -1888,7 +1833,6 @@ impl Runtime {
             }
             reg.analog_ops_on(sick)
         };
-        #[cfg(feature = "telemetry")]
         self.telemetry.per_shard[sick].quarantines.fetch_add(1, Ordering::Relaxed);
         self.push_event(HealthEvent::ShardQuarantined { shard: sick, failures });
         for (op, old_id) in ops {
@@ -1963,7 +1907,6 @@ impl Runtime {
         }
         let ops = self.registry.lock().expect("registry lock").analog_ops_on(shard);
         let mut reports = Vec::with_capacity(ops.len());
-        #[cfg(feature = "telemetry")]
         let probe_start = self.telemetry.journal.now_ns();
         {
             let group = self.shards[shard].group.lock().expect("shard lock");
@@ -1971,7 +1914,6 @@ impl Runtime {
                 reports.push((op, group.health_probe(id, 0.5)?));
             }
         }
-        #[cfg(feature = "telemetry")]
         self.telemetry.journal.span(
             "probe",
             "health",
@@ -2004,10 +1946,9 @@ impl Runtime {
     }
 }
 
-/// Fault-injection controls (the `fault-inject` feature): deterministic
-/// device-fault campaigns against individual shards, driving the recovery
-/// machinery in tests, benches and the serving example.
-#[cfg(feature = "fault-inject")]
+/// Fault-injection controls: deterministic device-fault campaigns against
+/// individual shards, driving the recovery machinery in tests, benches and
+/// the serving example.
 impl Runtime {
     /// Samples and installs a seeded fault plan on every macro of `shard`
     /// (see [`MacroGroup::inject_faults`]). An all-zero `config` leaves the
@@ -2097,4 +2038,38 @@ enum Verdict {
     /// Slots filled (with a typed error), but the shard should be flagged
     /// to the health monitor (a load that could not verify).
     ShardSuspect,
+}
+
+#[cfg(test)]
+mod tests {
+    use gramc_core::tiling::TileMapping;
+
+    use super::*;
+    use crate::Placement;
+
+    /// An MVM that would open a coalesced batch but is rejected — by the
+    /// queue bound or by its tenant's quota — leaves no pending batch
+    /// behind: nothing would dispatch it, and once its operator is freed
+    /// nothing would ever remove it.
+    #[test]
+    fn rejected_batch_opener_leaves_no_pending_batch() {
+        let tenant = TenantId(7);
+        let by_queue = Runtime::new(1, 2, MacroConfig::small_ideal(4), 3).with_queue_limit(1);
+        let by_quota = Runtime::new(1, 2, MacroConfig::small_ideal(4), 3)
+            .with_tenant_quota(TenantQuota { max_in_flight: 1 });
+        for rt in [by_queue, by_quota] {
+            let a = Matrix::from_rows(&[&[1.0, -0.25], &[0.25, 0.75]]);
+            let op = rt.load(&a, TileMapping::FourBit, Placement::Pinned(0)).expect("load");
+            // The queued solve takes the only queue slot and the tenant's
+            // only in-flight unit.
+            let solve = rt.submit_solve_inv_for(tenant, op, vec![0.5, -0.5]).expect("solve");
+            let rejected = rt.submit_mvm_for(tenant, op, vec![1.0, 2.0]);
+            assert!(matches!(rejected, Err(RuntimeError::QueueFull { limit: 1 })), "{rejected:?}");
+            assert!(rt.pending_mvm.lock().expect("pending lock").is_empty());
+            rt.run_all();
+            solve.wait().expect("the solve is served");
+            rt.free(op).expect("free");
+            assert!(rt.pending_mvm.lock().expect("pending lock").is_empty());
+        }
+    }
 }

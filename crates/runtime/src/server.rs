@@ -124,14 +124,12 @@ impl RuntimeServer {
 /// line per tick (compact JSON, schema-versioned); a final snapshot is
 /// always written at [`stop`](Self::stop) so short runs still record their
 /// end state.
-#[cfg(feature = "telemetry")]
 #[derive(Debug)]
 pub struct MetricsReporter {
     stop: Arc<std::sync::atomic::AtomicBool>,
     thread: JoinHandle<std::io::Result<usize>>,
 }
 
-#[cfg(feature = "telemetry")]
 impl MetricsReporter {
     /// Starts snapshotting `rt` every `interval` into the JSONL file at
     /// `path` (created or truncated).

@@ -5,17 +5,15 @@
 //! journal spans, so one request's causal chain survives coalescing and
 //! work-stealing) and belongs to a [`TenantId`] — the default tenant for
 //! the plain `submit_*` APIs, an explicit one through `submit_*_for`. Per
-//! tenant the runtime tracks in-flight requests in every build (the
-//! [`TenantQuota`] admission gate changes behavior, so it cannot live
-//! behind the `telemetry` feature) and, with telemetry on, a latency
-//! histogram plus the tenant's exact share of the hardware counters.
+//! tenant the runtime tracks in-flight requests (the [`TenantQuota`]
+//! admission gate), a latency histogram and the tenant's exact share of
+//! the hardware counters.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-#[cfg(feature = "telemetry")]
 use gramc_telemetry::{HwCounters, LatencyHistogram};
 
 /// Identity of one submitted request, unique per [`Runtime`](crate::Runtime)
@@ -76,11 +74,9 @@ pub(crate) struct TenantEntry {
     /// Submissions rejected by the tenant quota.
     pub rejected: AtomicU64,
     /// Submit→complete latency of this tenant's requests.
-    #[cfg(feature = "telemetry")]
     pub latency: LatencyHistogram,
     /// This tenant's exact share of the hardware counters (coalesced
     /// batches split proportionally to row counts, remainder-exact).
-    #[cfg(feature = "telemetry")]
     pub hw: HwCounters,
 }
 
@@ -125,7 +121,6 @@ impl TenantTable {
     }
 
     /// Every tenant's entry, in `TenantId` order.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub fn entries(&self) -> Vec<(TenantId, Arc<TenantEntry>)> {
         self.entries.lock().expect("tenant lock").iter().map(|(&t, e)| (t, e.clone())).collect()
     }

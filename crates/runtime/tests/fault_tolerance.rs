@@ -4,8 +4,6 @@
 //! the fault-free baseline within the paper's analog noise tolerance —
 //! while a zero-rate fault plan must change nothing at all, bit for bit.
 
-#![cfg(feature = "fault-inject")]
-
 use gramc_core::tiling::TileMapping;
 use gramc_core::{MacroConfig, MacroGroup};
 use gramc_linalg::{random, vector};
@@ -219,7 +217,6 @@ fn unverifiable_load_fails_typed_after_bounded_retries() {
 /// conductance planes of the 4×4 region, so the "load" job-kind must
 /// attribute exactly 3 · 2 · 16 write cycles and pulses — one failing job,
 /// fully accounted, with no converter or read activity.
-#[cfg(feature = "telemetry")]
 #[test]
 fn failed_load_retries_are_metered_exactly() {
     let health =
@@ -245,10 +242,9 @@ fn failed_load_retries_are_metered_exactly() {
     assert_eq!(m.hw_total, load.hw, "nothing but the doomed load ran");
 }
 
-/// Satellite 4 determinism contract: the `fault-inject` feature compiled
-/// in with a **zero-rate** plan installed must be bit-identical to the
-/// baseline — same seeds, pinned placement, identical RNG stream — so the
-/// instrumentation itself provably costs nothing.
+/// Determinism contract: a **zero-rate** fault plan installed must be
+/// bit-identical to the baseline — same seeds, pinned placement, identical
+/// RNG stream — so the fault hooks themselves provably change nothing.
 #[test]
 fn zero_rate_injection_is_bit_identical_to_baseline() {
     // Default health config: residual checks off, exactly as the baseline

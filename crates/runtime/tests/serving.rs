@@ -44,12 +44,9 @@ fn queue_full_rejects_past_the_bound() {
     );
     assert_eq!(rt.queued_jobs(), 2, "a rejected submission must not enqueue");
 
-    #[cfg(feature = "telemetry")]
-    {
-        let snap = rt.metrics_snapshot();
-        assert_eq!(snap.rejected, 1, "rejections are metered");
-        assert_eq!(snap.queue_depth, 2);
-    }
+    let snap = rt.metrics_snapshot();
+    assert_eq!(snap.rejected, 1, "rejections are metered");
+    assert_eq!(snap.queue_depth, 2);
 
     // Draining restores admission capacity.
     rt.run_all();
@@ -140,7 +137,6 @@ fn served_results_are_bit_identical_to_lone_group() {
 /// Every served job leaves its two-stage span pair in the journal: a
 /// `queued:<kind>` span on the shard lane (submit → dispatch) abutting a
 /// `job:<kind>` span on the worker lane (dispatch → complete).
-#[cfg(feature = "telemetry")]
 #[test]
 fn serving_trace_has_span_pair_per_job() {
     let (rt, server, op) = serving_fixture(13);
@@ -164,7 +160,6 @@ fn serving_trace_has_span_pair_per_job() {
 /// pinned at 3 (v3 added the `tenants` and `slo` sections and the widened
 /// `journal` block) and every reporter record is one compact line carrying
 /// it.
-#[cfg(feature = "telemetry")]
 #[test]
 fn metrics_stream_schema_version_is_pinned() {
     assert_eq!(gramc_runtime::METRICS_SCHEMA_VERSION, 3, "schema bumps must be deliberate");

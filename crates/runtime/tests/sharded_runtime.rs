@@ -306,7 +306,6 @@ fn sharded_tiling_rolls_back_on_capacity_error() {
 /// one lane, or across three stealing worker threads uncapped. (Shard 0
 /// is seeded identically regardless of how many shards exist, so the two
 /// runtimes replay the same RNG stream.)
-#[cfg(feature = "telemetry")]
 #[test]
 fn hardware_counters_are_invariant_to_worker_thread_count() {
     let config = MacroConfig::small(6);
@@ -355,11 +354,11 @@ fn hardware_counters_are_invariant_to_worker_thread_count() {
 
 /// Cross-build determinism anchor: one deterministic serving trace, its
 /// outputs folded into a single checksum pinned here. CI runs this exact
-/// test with telemetry on and off (`--no-default-features`), and in the
-/// single-threaded scheduler fallback; the constant must hold in every
-/// build, proving instrumentation and scheduling never perturb a bit of
-/// the analog math. Regenerate (only after an *intentional* numerics
-/// change) by running the test and copying the reported actual value.
+/// test with the `parallel` feature on and off (the single-threaded
+/// scheduler fallback); the constant must hold in both builds, proving
+/// scheduling never perturbs a bit of the analog math. Regenerate (only
+/// after an *intentional* numerics change) by running the test and copying
+/// the reported actual value.
 #[test]
 fn analog_outputs_match_pinned_golden_checksum() {
     let rt = Runtime::new(2, 2, MacroConfig::small(8), 64);

@@ -9,9 +9,8 @@
 //! Everything here is **observation only**: no RNG, no floating-point state
 //! that feeds back into the simulation, no allocation on record paths (the
 //! journal ring is preallocated, histogram buckets are fixed arrays, and
-//! counters are plain atomics). The instrumented crates gate their use
-//! behind a `telemetry` cargo feature; this crate itself has no features
-//! and no dependencies.
+//! counters are plain atomics). The instrumented crates always meter; this
+//! crate itself has no features and no dependencies.
 
 #![warn(missing_docs)]
 
@@ -341,15 +340,19 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Samples recorded in buckets strictly above the bucket holding
-    /// `threshold_ns` — a bucket-resolution count of samples exceeding the
+    /// Samples recorded in the buckets whose lower bound is at or above
+    /// `threshold_ns` — a bucket-resolution count of samples at or over the
     /// threshold, monotone non-increasing in the threshold. Exact when the
-    /// threshold is a power of two (a bucket boundary); otherwise
-    /// undercounts by at most the threshold's own bucket. SLO burn-rate
-    /// evaluation uses this as its violation counter.
+    /// threshold is 0 or a power of two (a bucket boundary); any other
+    /// threshold undercounts up to the next power of two (the default
+    /// 50-ms SLO target only counts samples from 2^26 ns ≈ 67.1 ms up).
+    /// SLO burn-rate evaluation uses this as its violation counter.
     pub fn count_over(&self, threshold_ns: u64) -> u64 {
-        let k = LatencyHistogram::bucket_of(threshold_ns);
-        self.buckets.iter().skip(k + 1).sum()
+        let first = match threshold_ns {
+            0 => 0,
+            t => LatencyHistogram::bucket_of(t - 1) + 1,
+        };
+        self.buckets.iter().skip(first).sum()
     }
 }
 
@@ -782,12 +785,12 @@ mod tests {
     #[test]
     fn count_over_is_a_monotone_tail_count() {
         let h = LatencyHistogram::new();
-        for ns in [100u64, 200, 3_000, 50_000, 1_000_000] {
+        for ns in [100u64, 200, 300, 3_000, 50_000, 1_000_000] {
             h.record_ns(ns);
         }
         let s = h.snapshot();
         // Power-of-two thresholds are bucket boundaries: exact counts.
-        assert_eq!(s.count_over(1 << 8), 3, "256 ns: 3000/50000/1e6 above");
+        assert_eq!(s.count_over(1 << 8), 4, "256 ns: 300/3000/50000/1e6 above");
         assert_eq!(s.count_over(1 << 12), 2, "4096 ns: 50000/1e6 above");
         assert_eq!(s.count_over(u64::MAX), 0);
         assert_eq!(s.count_over(0), s.count, "everything is above 0 ns");

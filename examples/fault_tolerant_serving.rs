@@ -6,7 +6,7 @@
 //! not at all.
 //!
 //! ```sh
-//! cargo run --release --features fault-inject --example fault_tolerant_serving
+//! cargo run --release --example fault_tolerant_serving
 //! ```
 
 use gramc::core::tiling::TileMapping;

@@ -44,22 +44,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rt.free(op)?;
 
     // ── What did that cost? ───────────────────────────────────────────
-    // The telemetry feature (on by default) meters every analog event the
-    // drain caused and prices it through the analog cost model.
-    #[cfg(feature = "telemetry")]
-    {
-        let m = rt.metrics_snapshot();
-        let cost = m.analog_cost(&gramc::core::metrics::AnalogCostModel::default());
-        println!(
-            "served p50/p99 submit→complete: {:.1} µs / {:.1} µs \
-             ({} DAC drives, {} ADC conversions → modeled {:.2e} J analog)",
-            m.submit_to_complete.p50_ns() as f64 / 1e3,
-            m.submit_to_complete.p99_ns() as f64 / 1e3,
-            m.hw_total.dac_drives,
-            m.hw_total.adc_conversions,
-            cost.energy,
-        );
-    }
+    // The runtime meters every analog event the drain caused and prices
+    // it through the analog cost model.
+    let m = rt.metrics_snapshot();
+    let cost = m.analog_cost(&gramc::core::metrics::AnalogCostModel::default());
+    println!(
+        "served p50/p99 submit→complete: {:.1} µs / {:.1} µs \
+         ({} DAC drives, {} ADC conversions → modeled {:.2e} J analog)",
+        m.submit_to_complete.p50_ns() as f64 / 1e3,
+        m.submit_to_complete.p99_ns() as f64 / 1e3,
+        m.hw_total.dac_drives,
+        m.hw_total.adc_conversions,
+        cost.energy,
+    );
 
     // ── One operator, every shard ─────────────────────────────────────
     // A 64×64 matrix on 32×32 arrays: four tiles, placed round-robin so
@@ -112,7 +109,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Every submission carries its tenant, so the coalesced hardware
     // costs split back per tenant — and an SloMonitor with a deliberately
     // unreachable latency target (1 ns) shows the burn-rate alert firing.
-    #[cfg(feature = "telemetry")]
     {
         use gramc::nn::LeNet5;
         use gramc::runtime::{SloConfig, SloMonitor, TenantId, TenantQuota};
