@@ -5,7 +5,7 @@
 //! batches (`submit_mvm_batch` with one vector — one job per request, so
 //! per-request latency is well defined) and record end-to-end
 //! `submit → wait` latency into a shared
-//! [`LatencyHistogram`](gramc_telemetry::LatencyHistogram):
+//! [`LatencyHistogram`]:
 //!
 //! * **Closed loop** ([`closed_loop`]): `clients` threads each run
 //!   submit→wait back-to-back until the deadline. Offered load adapts to
@@ -18,7 +18,7 @@
 //!   *offered* rate, plus the rejection rate once the queue saturates.
 //!   Sweeping the rate locates the saturation knee.
 //!
-//! [`LoadReport::sample`] converts a run into a [`timing::Sample`] row for
+//! [`LoadReport::sample`] converts a run into a [`timing::Sample`](crate::timing::Sample) row for
 //! `BENCH_kernels.json`; [`LoadReport::meta`] yields the latency/throughput
 //! key-value pairs (p50/p99/p999, throughput, rejection rate) for the
 //! report's `meta` block.

@@ -97,7 +97,7 @@ pub fn build_mvm(
     Ok(MvmTopology { circuit: c, input_sources, outputs, g_f })
 }
 
-/// INV topology: one-step linear-system solver (ref. [3], Sun et al. 2019).
+/// INV topology: one-step linear-system solver (ref. \[3\], Sun et al. 2019).
 #[derive(Debug, Clone)]
 pub struct InvTopology {
     /// The assembled netlist.
@@ -159,7 +159,7 @@ pub fn build_inv(
     Ok(InvTopology { circuit: c, input_sources, x_nodes })
 }
 
-/// PINV topology: one-step least-squares solver (ref. [5], Wang et al. 2023).
+/// PINV topology: one-step least-squares solver (ref. \[5\], Wang et al. 2023).
 #[derive(Debug, Clone)]
 pub struct PinvTopology {
     /// The assembled netlist.

@@ -681,7 +681,8 @@ impl MacroGroup {
     /// directly (no per-vector `Vec`s on either side); the slice-based
     /// `mvm_batch` is a thin wrapper around it.
     ///
-    /// The per-plane products run through [`parallel::map_collect`], one
+    /// The per-plane products run through
+    /// [`parallel::map_collect`](gramc_linalg::parallel::map_collect), one
     /// scoped thread per plane, each plane's `matmul` capped to its share of
     /// the thread budget — plane results are combined in plane order, so the
     /// output does not depend on the thread count.

@@ -9,7 +9,7 @@
 //! * [`RramDevice`] — filament-gap state machine with `sinh` I–V and
 //!   field/temperature-accelerated gap dynamics (paper Fig. 1a),
 //! * [`Nmos`] — velocity-saturated access transistor whose gate voltage sets
-//!   the SET compliance current (linear in overdrive, per ref. [7]),
+//!   the SET compliance current (linear in overdrive, per ref. \[7\]),
 //! * [`OneTOneR`] — the series cell, self-consistently solving the divider
 //!   every pulse sub-step; exposes [`set_pulse`](OneTOneR::set_pulse) /
 //!   [`reset_pulse`](OneTOneR::reset_pulse) / [`read`](OneTOneR::read),

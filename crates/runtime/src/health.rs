@@ -19,8 +19,9 @@
 //!    (the registry's least-loaded placement metric) and queued jobs
 //!    follow them.
 //! 3. **Degrade.** With no healthy shard left — or a job out of retries —
-//!    results come from the digital reference path (`matmul_reference` /
-//!    LU) on the registry's kept copy of the operator matrix.
+//!    results come from the digital reference path (`Matrix::matvec`,
+//!    `lu::solve` or `qr::least_squares`) on the registry's kept copy of
+//!    the operator matrix.
 
 use std::sync::atomic::{AtomicBool, AtomicU32};
 

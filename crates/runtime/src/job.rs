@@ -158,55 +158,51 @@ impl JobHandle {
     }
 }
 
+/// The analog operation a compute job runs: one macro array, three
+/// feedback configurations (GRAMC's reconfigurable MVM / INV / PINV modes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Op {
+    /// Matrix–vector products through `MacroGroup::mvm_batch`; inputs are
+    /// checked against the operator's columns.
+    Mvm,
+    /// One-step linear solves through `MacroGroup::solve_inv_batch`;
+    /// right-hand sides are checked against the operator's rows.
+    Inv,
+    /// One-step least-squares solves through `MacroGroup::solve_pinv_batch`;
+    /// right-hand sides are checked against the operator's rows.
+    Pinv,
+}
+
 /// What a job does once a worker runs it on its shard. `Clone` because the
 /// recovery machinery re-dispatches failed or migrated jobs.
 #[derive(Debug, Clone)]
 pub(crate) enum JobKind {
-    /// Dispatch of one operator's coalesced MVM requests: drains the
-    /// operator's pending batch at execution time and runs it as one
-    /// `mvm_batch` (one result slot per request, carried by the batch).
-    MvmMany { handle: OperatorHandle },
-    /// A drained coalesced batch being re-dispatched (retry or migration):
-    /// the requests already left the pending table, so they ride in the
-    /// job, one result slot per request.
-    MvmSet { handle: OperatorHandle, xs: Vec<Vec<f64>> },
-    /// Explicit batch MVM: one `mvm_batch` dispatch, one slot for the
-    /// whole batch.
-    MvmBatch { handle: OperatorHandle, xs: Vec<Vec<f64>> },
-    /// Single-RHS INV solve.
-    SolveInv { handle: OperatorHandle, b: Vec<f64> },
-    /// Multi-RHS INV solve through `MacroGroup::solve_inv_batch`.
-    SolveInvBatch { handle: OperatorHandle, bs: Vec<Vec<f64>> },
-    /// Multi-RHS PINV (least-squares) solve through
-    /// `MacroGroup::solve_pinv_batch`.
-    SolvePinvBatch { handle: OperatorHandle, bs: Vec<Vec<f64>> },
+    /// One analog dispatch of `op` over a batch of input vectors.
+    Compute {
+        handle: OperatorHandle,
+        op: Op,
+        /// The input vectors. `None` marks a coalesced MVM dispatch: its
+        /// requests wait in the operator's pending batch, which the job
+        /// drains into itself (inputs, slots and metadata) when it runs —
+        /// so a retried or migrated batch carries them as `Some`.
+        xs: Option<Vec<Vec<f64>>>,
+        /// Each input is its own request with its own result slot,
+        /// answered as a [`JobOutput::Vector`] (coalesced MVMs, single-RHS
+        /// solves). Otherwise the whole batch is one request with one slot,
+        /// answered as [`JobOutput::Vectors`].
+        per_request: bool,
+    },
     /// Place a matrix on the job's shard and fulfil the registry entry.
     Load { handle: OperatorHandle, matrix: Arc<Matrix>, mapping: TileMapping },
     /// Release the operator and retire the registry entry.
     Free { handle: OperatorHandle },
 }
 
-impl JobKind {
-    /// The operator a compute job targets (`None` for load/free lifecycle
-    /// jobs, which the recovery path never re-dispatches).
-    pub(crate) fn operator(&self) -> Option<OperatorHandle> {
-        match self {
-            Self::MvmMany { handle }
-            | Self::MvmSet { handle, .. }
-            | Self::MvmBatch { handle, .. }
-            | Self::SolveInv { handle, .. }
-            | Self::SolveInvBatch { handle, .. }
-            | Self::SolvePinvBatch { handle, .. } => Some(*handle),
-            Self::Load { .. } | Self::Free { .. } => None,
-        }
-    }
-}
-
 /// Attribution record of one request riding in a job: who submitted it,
 /// its weight in the batch's hardware-counter split, and when it was
 /// submitted (journal clock) for its queue-wait span.
 ///
-/// Solo jobs carry exactly one; a hydrated coalesced dispatch carries one
+/// Solo jobs carry exactly one; a drained coalesced dispatch carries one
 /// per rider, in submission order (the split's remainder assignment is
 /// keyed to that order, so attribution is deterministic).
 #[derive(Debug, Clone, Copy)]
@@ -229,10 +225,10 @@ impl RequestMeta {
 }
 
 /// A scheduled job: target shard, per-shard ticket, payload, the result
-/// slots to fill (exactly one, except `MvmMany`, whose slots live in the
-/// pending batch until it executes — and `MvmSet`, with one per request),
-/// per-request attribution metadata, and how many times the recovery
-/// policy has already re-dispatched it.
+/// slots to fill (one per request of a `per_request` compute job, one for
+/// any other job; a coalesced dispatch finds its slots in the pending
+/// batch when it runs), per-request attribution metadata, and how many
+/// times the recovery policy has already re-dispatched it.
 #[derive(Debug)]
 pub(crate) struct Job {
     pub shard: usize,
@@ -240,8 +236,8 @@ pub(crate) struct Job {
     pub kind: JobKind,
     pub slots: Vec<Arc<Slot>>,
     /// One record per request riding in this job (parallel to `slots` for
-    /// multi-request kinds). Empty only for an `MvmMany` dispatch before
-    /// hydration drains its pending batch into the job.
+    /// `per_request` jobs). Empty only for a coalesced dispatch that has
+    /// not yet drained its pending batch.
     pub meta: Vec<RequestMeta>,
     pub retries: u32,
     /// Enqueue timestamp feeding the serving histograms (a re-dispatched

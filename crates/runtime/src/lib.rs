@@ -44,8 +44,10 @@
 //!    `mvm_batch` analog dispatch at the first request's place in program
 //!    order. The other `submit_*` calls ([`Runtime::submit_mvm_batch`],
 //!    [`Runtime::submit_solve_inv`], [`Runtime::submit_solve_inv_batch`],
-//!    [`Runtime::submit_load`], [`Runtime::submit_free`]) enqueue one job
-//!    each. Every submission returns a [`JobHandle`].
+//!    [`Runtime::submit_solve_pinv_batch`], [`Runtime::submit_load`],
+//!    [`Runtime::submit_free`]) enqueue one job each. Every submission
+//!    returns a [`JobHandle`]; a compute submission is checked first —
+//!    input lengths against the operator's shape, entries for finiteness.
 //! 2. **Ticket.** At enqueue time a job takes the next *ticket* of its
 //!    target shard. Tickets are the per-shard program order: a job may only
 //!    execute when every earlier ticket of its shard has retired, no matter
@@ -97,10 +99,10 @@
 //!   [`RunSummary::events`].
 //! * **Degraded mode** is the last rung: with no healthy shard to migrate
 //!   to — or a single job out of retries — results come from the digital
-//!   reference path (`matmul_reference` / LU on the registry's kept
-//!   matrix). Still correct answers, still reported: the summary counts
-//!   degraded dispatches and records an [`HealthEvent::OperatorDegraded`]
-//!   per affected operator.
+//!   reference path (`Matrix::matvec`, `lu::solve` or `qr::least_squares`
+//!   on the registry's kept matrix). Still correct answers, still
+//!   reported: the summary counts degraded dispatches and records an
+//!   [`HealthEvent::OperatorDegraded`] per affected operator.
 //!
 //! Fault injection drives all four channels deterministically in tests and
 //! benches: [`Runtime::inject_shard_faults`] installs a seeded

@@ -81,12 +81,10 @@ pub(crate) enum FreeTarget {
 #[derive(Debug)]
 struct Entry {
     shard: usize,
-    /// Output dimension (matrix rows) recorded at load submission, so
-    /// solve right-hand sides can be shape-checked before enqueueing.
+    /// Matrix shape recorded at load submission, so MVM inputs (against
+    /// `cols`) and solve right-hand sides (against `rows`) are checked
+    /// before they enqueue or join a coalesced batch.
     rows: usize,
-    /// Input dimension (matrix columns) recorded at load submission, so
-    /// MVM requests can be shape-checked before they join a coalesced
-    /// batch.
     cols: usize,
     /// The operator's matrix, kept for migration re-programming and the
     /// digital fallback path.
@@ -196,39 +194,24 @@ impl Registry {
         }
     }
 
-    /// Shard an operator lives (or will live) on — usable while the load is
-    /// still queued, which is what lets follow-up jobs enqueue behind it.
-    /// Free-queued handles are rejected: the handle is dead to further
-    /// submissions the moment its free is accepted.
-    pub(crate) fn shard_of(&self, handle: OperatorHandle) -> Result<usize, RuntimeError> {
-        self.submission_entry(handle).map(|e| e.shard)
-    }
-
-    /// Shard plus input dimension, for shape-checking MVM submissions.
-    pub(crate) fn shard_and_cols(
+    /// Shard an operator lives (or will live) on, with its shape `(shard,
+    /// rows, cols)` for checking inputs at submission — usable while the
+    /// load is still queued, which is what lets follow-up jobs enqueue
+    /// behind it. Free-queued handles are rejected: the handle is dead to
+    /// further submissions the moment its free is accepted.
+    pub(crate) fn submission_target(
         &self,
         handle: OperatorHandle,
-    ) -> Result<(usize, usize), RuntimeError> {
-        self.submission_entry(handle).map(|e| (e.shard, e.cols))
-    }
-
-    /// Shard plus output dimension, for shape-checking solve right-hand
-    /// sides at submission.
-    pub(crate) fn shard_and_rows(
-        &self,
-        handle: OperatorHandle,
-    ) -> Result<(usize, usize), RuntimeError> {
-        self.submission_entry(handle).map(|e| (e.shard, e.rows))
-    }
-
-    fn submission_entry(&self, handle: OperatorHandle) -> Result<&Entry, RuntimeError> {
+    ) -> Result<(usize, usize, usize), RuntimeError> {
         let entry = self.entry(handle)?;
         match entry.state {
             EntryState::PendingFreeQueued
             | EntryState::FreeQueued(_)
             | EntryState::FreeQueuedDigital
             | EntryState::Dead => Err(RuntimeError::InvalidHandle),
-            EntryState::Pending | EntryState::Live(_) | EntryState::LiveDigital => Ok(entry),
+            EntryState::Pending | EntryState::Live(_) | EntryState::LiveDigital => {
+                Ok((entry.shard, entry.rows, entry.cols))
+            }
         }
     }
 

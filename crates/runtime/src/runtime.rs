@@ -14,7 +14,7 @@ use gramc_telemetry::{FlowPhase, HwSnapshot, JournalEvent};
 
 use crate::error::RuntimeError;
 use crate::health::{HealthConfig, HealthEvent, ShardHealth};
-use crate::job::{Job, JobHandle, JobKind, JobOutput, RequestMeta, Slot};
+use crate::job::{Job, JobHandle, JobKind, JobOutput, Op, RequestMeta, Slot};
 use crate::registry::{ExecTarget, FreeTarget, OperatorHandle, Placement, Registry};
 use crate::telemetry::{
     kind_index, kind_queued_name, kind_span_name, split_hw, MetricsSnapshot, RtTelemetry,
@@ -79,7 +79,6 @@ impl RunSummary {
 #[derive(Debug)]
 struct Shard {
     group: Mutex<MacroGroup>,
-    seed: u64,
     next_ticket: AtomicU64,
     exec_ticket: AtomicU64,
 }
@@ -187,14 +186,14 @@ impl Runtime {
         if let QueuePolicy::Fixed(q) = queue_policy {
             assert!(q < shards, "fixed queue {q} out of range for {shards} shards");
         }
-        let mk_shard = |s: usize| {
-            let shard_seed = Self::shard_seed_of(seed, s);
-            Shard {
-                group: Mutex::new(MacroGroup::new(macros_per_shard, config.clone(), shard_seed)),
-                seed: shard_seed,
-                next_ticket: AtomicU64::new(0),
-                exec_ticket: AtomicU64::new(0),
-            }
+        let mk_shard = |s: usize| Shard {
+            group: Mutex::new(MacroGroup::new(
+                macros_per_shard,
+                config.clone(),
+                Self::shard_seed_of(seed, s),
+            )),
+            next_ticket: AtomicU64::new(0),
+            exec_ticket: AtomicU64::new(0),
         };
         Self {
             shards: (0..shards).map(mk_shard).collect(),
@@ -228,11 +227,6 @@ impl Runtime {
         self
     }
 
-    /// The active health-monitoring policy.
-    pub fn health_config(&self) -> &HealthConfig {
-        &self.health_cfg
-    }
-
     /// Bounds the job queue (builder style): while `limit` jobs are already
     /// submitted and unretired, further submissions are rejected with
     /// [`RuntimeError::QueueFull`] instead of enqueueing — typed
@@ -252,11 +246,6 @@ impl Runtime {
         self
     }
 
-    /// The admission bound, if one is set.
-    pub fn queue_limit(&self) -> Option<usize> {
-        self.queue_limit
-    }
-
     /// Applies a per-tenant fair-admission quota (builder style): while a
     /// tenant already has [`TenantQuota::max_in_flight`] unretired
     /// requests, its further submissions — riders joining a coalesced
@@ -273,11 +262,6 @@ impl Runtime {
         assert!(quota.max_in_flight > 0, "a zero tenant quota would reject every submission");
         self.tenant_quota = Some(quota);
         self
-    }
-
-    /// The per-tenant admission quota, if one is set.
-    pub fn tenant_quota(&self) -> Option<TenantQuota> {
-        self.tenant_quota
     }
 
     /// Resizes the event-journal ring (builder style; default 4096
@@ -328,12 +312,6 @@ impl Runtime {
         Ok(())
     }
 
-    /// The paper's macro complement per shard: `shards` groups of 16
-    /// macros of 128×128 each.
-    pub fn paper_sharded(shards: usize, seed: u64) -> Self {
-        Self::new(shards, 16, MacroConfig::default(), seed)
-    }
-
     /// Seed of shard `s` for base seed `base` — the decorrelation is a
     /// fixed odd multiplier so shard 0 keeps the base seed verbatim.
     pub fn shard_seed_of(base: u64, shard: usize) -> u64 {
@@ -343,15 +321,6 @@ impl Runtime {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Seed of shard `shard`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard_seed(&self, shard: usize) -> u64 {
-        self.shards[shard].seed
     }
 
     /// The macro configuration (identical across shards).
@@ -388,14 +357,10 @@ impl Runtime {
 
     /// Takes the next ticket of `shard` and enqueues the job under the
     /// queue policy. The queue lock is held across ticket assignment so
-    /// queue order equals ticket order for every shard.
-    fn enqueue(&self, shard: usize, kind: JobKind, slots: Vec<Arc<Slot>>, meta: Vec<RequestMeta>) {
-        self.enqueue_job(shard, kind, slots, meta, 0);
-    }
-
-    /// [`enqueue`](Self::enqueue) carrying a retry count — how the recovery
-    /// path re-dispatches failed or migrated jobs.
-    fn enqueue_job(
+    /// queue order equals ticket order for every shard. `retries` is 0 for
+    /// a submission; the recovery path re-dispatches failed or migrated
+    /// jobs with their count.
+    fn enqueue(
         &self,
         shard: usize,
         kind: JobKind,
@@ -448,15 +413,30 @@ impl Runtime {
         }
     }
 
-    /// Rejects `NaN`/`±inf` inputs at submission time (mirroring the shape
-    /// check): an analog driver cannot encode them, and catching them here
-    /// keeps one malformed request from poisoning a coalesced batch.
-    fn check_finite(xs: &[f64]) -> Result<(), RuntimeError> {
-        if xs.iter().all(|x| x.is_finite()) {
-            Ok(())
-        } else {
-            Err(RuntimeError::NonFiniteInput)
+    /// The shard `handle`'s jobs enqueue on, once every input has passed
+    /// the submission checks: MVM inputs must match the operator's
+    /// columns and solve right-hand sides its rows, and no entry may be
+    /// `NaN`/`±inf` (no DAC can encode them). Catching these here keeps
+    /// one malformed request from poisoning a coalesced batch or panicking
+    /// a digitally served job.
+    fn checked_shard(
+        &self,
+        handle: OperatorHandle,
+        op: Op,
+        xs: &[Vec<f64>],
+    ) -> Result<usize, RuntimeError> {
+        let (shard, rows, cols) =
+            self.registry.lock().expect("registry lock").submission_target(handle)?;
+        let expected = if op == Op::Mvm { cols } else { rows };
+        for x in xs {
+            if x.len() != expected {
+                return Err(CoreError::ShapeMismatch { expected, found: x.len() }.into());
+            }
+            if !x.iter().all(|v| v.is_finite()) {
+                return Err(RuntimeError::NonFiniteInput);
+            }
         }
+        Ok(shard)
     }
 
     /// Queues a matrix load. The returned [`OperatorHandle`] is valid for
@@ -516,6 +496,7 @@ impl Runtime {
             JobKind::Load { handle, matrix, mapping },
             vec![jh.slot.clone()],
             vec![RequestMeta::new(request, tenant, 1)],
+            0,
         );
         Ok((handle, jh))
     }
@@ -558,11 +539,7 @@ impl Runtime {
         op: OperatorHandle,
         x: Vec<f64>,
     ) -> Result<JobHandle, RuntimeError> {
-        let (shard, cols) = self.registry.lock().expect("registry lock").shard_and_cols(op)?;
-        if x.len() != cols {
-            return Err(CoreError::ShapeMismatch { expected: cols, found: x.len() }.into());
-        }
-        Self::check_finite(&x)?;
+        let shard = self.checked_shard(op, Op::Mvm, std::slice::from_ref(&x))?;
         let entry = self.tenants.entry(tenant);
         // The pending lock is held across the enqueue so opening the batch
         // and taking its ticket are atomic.
@@ -585,9 +562,10 @@ impl Runtime {
         batch.slots.push(jh.slot.clone());
         batch.meta.push(m);
         if opens_batch {
-            // The dispatch job starts empty: hydration drains the pending
-            // batch (slots and meta included) when it executes.
-            self.enqueue(shard, JobKind::MvmMany { handle: op }, Vec::new(), Vec::new());
+            // The dispatch job starts empty (`xs: None`): it drains the
+            // pending batch (slots and meta included) when it executes.
+            let kind = JobKind::Compute { handle: op, op: Op::Mvm, xs: None, per_request: true };
+            self.enqueue(shard, kind, Vec::new(), Vec::new(), 0);
         } else {
             // Joined an already-open batch: no new job, just one more rider.
             self.telemetry.journal.instant(
@@ -600,12 +578,43 @@ impl Runtime {
         Ok(jh)
     }
 
+    /// The one submission path of uncoalesced compute jobs: admission,
+    /// the [input checks](Self::checked_shard), tenant admission, then one
+    /// job of weight `xs.len()` holding one slot.
+    fn submit_compute(
+        &self,
+        tenant: TenantId,
+        handle: OperatorHandle,
+        op: Op,
+        xs: Vec<Vec<f64>>,
+        per_request: bool,
+    ) -> Result<JobHandle, RuntimeError> {
+        self.admit()?;
+        let shard = self.checked_shard(handle, op, &xs)?;
+        let entry = self.tenants.entry(tenant);
+        self.admit_tenant(&entry)?;
+        let request = self.mint_request();
+        let weight = xs.len().max(1) as u64;
+        let jh = JobHandle::new(request, entry);
+        self.enqueue(
+            shard,
+            JobKind::Compute { handle, op, xs: Some(xs), per_request },
+            vec![jh.slot.clone()],
+            vec![RequestMeta::new(request, tenant, weight)],
+            0,
+        );
+        Ok(jh)
+    }
+
     /// Submits an explicit batch MVM (one job, one handle for the whole
     /// batch) — bypasses coalescing.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::InvalidHandle`] for dead handles;
+    /// [`CoreError::ShapeMismatch`](gramc_core::CoreError) when an input's
+    /// length is not the operator's column count;
+    /// [`RuntimeError::NonFiniteInput`] for `NaN`/`±inf` entries;
     /// [`RuntimeError::QueueFull`] past the admission bound.
     pub fn submit_mvm_batch(
         &self,
@@ -629,23 +638,7 @@ impl Runtime {
         op: OperatorHandle,
         xs: Vec<Vec<f64>>,
     ) -> Result<JobHandle, RuntimeError> {
-        self.admit()?;
-        let shard = self.registry.lock().expect("registry lock").shard_of(op)?;
-        for x in &xs {
-            Self::check_finite(x)?;
-        }
-        let entry = self.tenants.entry(tenant);
-        self.admit_tenant(&entry)?;
-        let request = self.mint_request();
-        let rows = xs.len().max(1) as u64;
-        let jh = JobHandle::new(request, entry);
-        self.enqueue(
-            shard,
-            JobKind::MvmBatch { handle: op, xs },
-            vec![jh.slot.clone()],
-            vec![RequestMeta::new(request, tenant, rows)],
-        );
-        Ok(jh)
+        self.submit_compute(tenant, op, Op::Mvm, xs, false)
     }
 
     /// Submits a single-RHS INV solve.
@@ -653,6 +646,9 @@ impl Runtime {
     /// # Errors
     ///
     /// [`RuntimeError::InvalidHandle`] for dead handles;
+    /// [`CoreError::ShapeMismatch`](gramc_core::CoreError) when `b`'s
+    /// length is not the operator's row count;
+    /// [`RuntimeError::NonFiniteInput`] for `NaN`/`±inf` entries;
     /// [`RuntimeError::QueueFull`] past the admission bound.
     pub fn submit_solve_inv(
         &self,
@@ -675,20 +671,7 @@ impl Runtime {
         op: OperatorHandle,
         b: Vec<f64>,
     ) -> Result<JobHandle, RuntimeError> {
-        self.admit()?;
-        let shard = self.registry.lock().expect("registry lock").shard_of(op)?;
-        Self::check_finite(&b)?;
-        let entry = self.tenants.entry(tenant);
-        self.admit_tenant(&entry)?;
-        let request = self.mint_request();
-        let jh = JobHandle::new(request, entry);
-        self.enqueue(
-            shard,
-            JobKind::SolveInv { handle: op, b },
-            vec![jh.slot.clone()],
-            vec![RequestMeta::new(request, tenant, 1)],
-        );
-        Ok(jh)
+        self.submit_compute(tenant, op, Op::Inv, vec![b], true)
     }
 
     /// Submits a multi-RHS INV solve (`MacroGroup::solve_inv_batch`): all
@@ -696,46 +679,14 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::InvalidHandle`] for dead handles;
-    /// [`RuntimeError::QueueFull`] past the admission bound.
+    /// As [`submit_solve_inv`](Self::submit_solve_inv), for every
+    /// right-hand side.
     pub fn submit_solve_inv_batch(
         &self,
         op: OperatorHandle,
         bs: Vec<Vec<f64>>,
     ) -> Result<JobHandle, RuntimeError> {
-        self.submit_solve_inv_batch_for(TenantId::DEFAULT, op, bs)
-    }
-
-    /// [`submit_solve_inv_batch`](Self::submit_solve_inv_batch) attributed
-    /// to an explicit tenant.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_solve_inv_batch`](Self::submit_solve_inv_batch), plus
-    /// [`RuntimeError::QueueFull`] when `tenant` sits at its quota.
-    pub fn submit_solve_inv_batch_for(
-        &self,
-        tenant: TenantId,
-        op: OperatorHandle,
-        bs: Vec<Vec<f64>>,
-    ) -> Result<JobHandle, RuntimeError> {
-        self.admit()?;
-        let shard = self.registry.lock().expect("registry lock").shard_of(op)?;
-        for b in &bs {
-            Self::check_finite(b)?;
-        }
-        let entry = self.tenants.entry(tenant);
-        self.admit_tenant(&entry)?;
-        let request = self.mint_request();
-        let rows = bs.len().max(1) as u64;
-        let jh = JobHandle::new(request, entry);
-        self.enqueue(
-            shard,
-            JobKind::SolveInvBatch { handle: op, bs },
-            vec![jh.slot.clone()],
-            vec![RequestMeta::new(request, tenant, rows)],
-        );
-        Ok(jh)
+        self.submit_compute(TenantId::DEFAULT, op, Op::Inv, bs, false)
     }
 
     /// Submits a multi-RHS PINV (least-squares) solve
@@ -744,51 +695,14 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::InvalidHandle`] for dead handles;
-    /// [`CoreError::ShapeMismatch`](gramc_core::CoreError) when a
-    /// right-hand side's length is not the operator's row count;
-    /// [`RuntimeError::QueueFull`] past the admission bound.
+    /// As [`submit_solve_inv`](Self::submit_solve_inv), for every
+    /// right-hand side.
     pub fn submit_solve_pinv_batch(
         &self,
         op: OperatorHandle,
         bs: Vec<Vec<f64>>,
     ) -> Result<JobHandle, RuntimeError> {
-        self.submit_solve_pinv_batch_for(TenantId::DEFAULT, op, bs)
-    }
-
-    /// [`submit_solve_pinv_batch`](Self::submit_solve_pinv_batch)
-    /// attributed to an explicit tenant.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_solve_pinv_batch`](Self::submit_solve_pinv_batch), plus
-    /// [`RuntimeError::QueueFull`] when `tenant` sits at its quota.
-    pub fn submit_solve_pinv_batch_for(
-        &self,
-        tenant: TenantId,
-        op: OperatorHandle,
-        bs: Vec<Vec<f64>>,
-    ) -> Result<JobHandle, RuntimeError> {
-        self.admit()?;
-        let (shard, rows) = self.registry.lock().expect("registry lock").shard_and_rows(op)?;
-        for b in &bs {
-            if b.len() != rows {
-                return Err(CoreError::ShapeMismatch { expected: rows, found: b.len() }.into());
-            }
-            Self::check_finite(b)?;
-        }
-        let entry = self.tenants.entry(tenant);
-        self.admit_tenant(&entry)?;
-        let request = self.mint_request();
-        let weight = bs.len().max(1) as u64;
-        let jh = JobHandle::new(request, entry);
-        self.enqueue(
-            shard,
-            JobKind::SolvePinvBatch { handle: op, bs },
-            vec![jh.slot.clone()],
-            vec![RequestMeta::new(request, tenant, weight)],
-        );
-        Ok(jh)
+        self.submit_compute(TenantId::DEFAULT, op, Op::Pinv, bs, false)
     }
 
     /// Queues the release of an operator. The handle is dead to further
@@ -820,6 +734,7 @@ impl Runtime {
             JobKind::Free { handle: op },
             vec![jh.slot.clone()],
             vec![RequestMeta::new(request, TenantId::DEFAULT, 1)],
+            0,
         );
         Ok(jh)
     }
@@ -1026,6 +941,9 @@ impl Runtime {
         self.worker_loop(0);
     }
 
+    /// Runs jobs on worker `w` until every queued job has retired — the one
+    /// loop body of both [`run_all`](Self::run_all)'s drain workers and the
+    /// persistent [`serve_loop`](Self::serve_loop) workers.
     fn worker_loop(&self, w: usize) {
         let mut idle = 0u32;
         while self.remaining.load(Ordering::SeqCst) > 0 {
@@ -1085,49 +1003,43 @@ impl Runtime {
     }
 
     /// Body of one persistent serving worker: [`worker_loop`](Self::worker_loop)
-    /// that parks on the serve condvar instead of returning when the queues
-    /// run dry, and exits only once shutdown is signalled **and** every
-    /// queued job has retired.
+    /// between parks, until shutdown is signalled **and** every queued job
+    /// has retired.
     pub(crate) fn serve_loop(&self, w: usize) {
-        let mut idle = 0u32;
-        loop {
-            if self.remaining.load(Ordering::SeqCst) == 0 {
-                if self.serve.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let guard = self.serve.park.lock().expect("serve lock");
-                // Re-check under the park mutex, then sleep until notified.
-                // No wakeup can be lost: only `enqueue_job` raises
-                // `remaining`, and after raising it takes this mutex before
-                // notifying. Either it took the mutex before this re-check,
-                // which then sees the job, or only once `wait` released it,
-                // so the notification finds this worker asleep.
-                // `signal_shutdown` raises its flag the same way.
-                if self.remaining.load(Ordering::SeqCst) == 0
-                    && !self.serve.shutdown.load(Ordering::SeqCst)
-                {
-                    #[cfg(test)]
-                    self.serve.parks.fetch_add(1, Ordering::SeqCst);
-                    drop(self.serve.wake.wait(guard).expect("serve lock"));
-                }
-                idle = 0;
-                continue;
-            }
-            let advanced = match self.grab_job(w) {
-                Some(job) => self.try_execute(w, job),
-                None => false,
-            };
-            if advanced {
-                idle = 0;
-            } else {
-                idle += 1;
-                if idle < 64 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
+        while self.park() {
+            self.worker_loop(w);
         }
+    }
+
+    /// Sleeps until there is work; `false` once the worker should exit.
+    fn park(&self) -> bool {
+        // The flag is read before `remaining`. A submitter raises
+        // `remaining` before anyone calls `shutdown()`, so a worker that
+        // sees the flag also sees every job submitted ahead of it. Read the
+        // other way round, a job submitted between the two loads and then
+        // followed by `shutdown()` would stay queued after every worker
+        // exited, and its waiter would block forever.
+        let shutdown = self.serve.shutdown.load(Ordering::SeqCst);
+        if self.remaining.load(Ordering::SeqCst) > 0 {
+            return true;
+        }
+        if shutdown {
+            return false;
+        }
+        let guard = self.serve.park.lock().expect("serve lock");
+        // Re-check under the park mutex, then sleep until notified. No
+        // wakeup can be lost: only `enqueue` raises `remaining`, and after
+        // raising it takes this mutex before notifying. Either it took the
+        // mutex before this re-check, which then sees the job, or only once
+        // `wait` released it, so the notification finds this worker asleep.
+        // `signal_shutdown` raises its flag the same way.
+        if self.remaining.load(Ordering::SeqCst) == 0 && !self.serve.shutdown.load(Ordering::SeqCst)
+        {
+            #[cfg(test)]
+            self.serve.parks.fetch_add(1, Ordering::SeqCst);
+            drop(self.serve.wake.wait(guard).expect("serve lock"));
+        }
+        true
     }
 
     /// Whether the job's shard has retired every earlier ticket, i.e. the
@@ -1176,11 +1088,12 @@ impl Runtime {
         // slots are filled with `JobPanicked` so waiters on other threads
         // wake with an error instead of hanging; the panic itself is
         // re-raised below and propagates out of `run_all`. (A coalesced
-        // dispatch hydrates its riders' slots into the job before
-        // executing, so the panic fill covers them too.)
+        // dispatch drains its riders' slots into the job before executing,
+        // so the panic fill covers them too.)
         //
-        // `kind_ix` is taken *before* hydration turns an `MvmMany` into an
-        // `MvmSet`, so coalesced batches keep attributing as `mvm_many`.
+        // `kind_ix` is taken *before* a coalesced dispatch drains its
+        // pending batch, so it attributes as `mvm_many`; a re-dispatch of
+        // the drained batch attributes as `mvm_set`.
         let (dispatched, span_start, kind_ix) =
             (std::time::Instant::now(), self.telemetry.journal.now_ns(), kind_index(&job.kind));
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1227,7 +1140,7 @@ impl Runtime {
         // The submit→complete breakdown as two abutting duration spans:
         // the queue wait on the job's shard lane, the execution on the
         // executing worker's lane. The queued span doubles as the lead
-        // request's flow *start*; riders of a hydrated coalesced batch
+        // request's flow *start*; riders of a drained coalesced batch
         // get their own queue-wait span (their wait began at their own
         // submission) starting their own flow.
         let lead_flow = job.meta.first().map_or(0, |m| m.request.0);
@@ -1284,13 +1197,11 @@ impl Runtime {
         // can never make `remaining` touch zero and end the drain early.
         match run {
             Ok(Verdict::Done) => {}
-            Ok(Verdict::Requeue { to, kind, slots, meta }) => {
+            Ok(Verdict::Requeue(to)) => {
                 self.telemetry.per_shard[job.shard].requeues.fetch_add(1, Ordering::Relaxed);
-                self.enqueue_job(to, kind, slots, meta, job.retries);
+                self.enqueue(to, job.kind, job.slots, job.meta, job.retries);
             }
-            Ok(Verdict::Failed { kind, slots, meta }) => {
-                self.handle_failure(job.shard, job.retries, kind, slots, meta);
-            }
+            Ok(Verdict::Failed) => self.handle_failure(job),
             Ok(Verdict::ShardSuspect) => {
                 self.note_failure(job.shard);
             }
@@ -1311,264 +1222,102 @@ impl Runtime {
     /// group lock) must do. The registry lock is only ever taken *inside*
     /// (leaf lock).
     ///
-    /// An `MvmMany` dispatch is **hydrated** first: the operator's pending
-    /// batch (inputs, result slots, request metadata) drains into the job
-    /// and the kind becomes `MvmSet` — so by the time anything can fail or
-    /// panic, the riders' slots are the job's slots and every completion
-    /// path in [`try_execute`](Self::try_execute) covers them.
+    /// A coalesced dispatch (`xs: None`) first drains the operator's
+    /// pending batch (inputs, result slots, request metadata) into the job
+    /// — so by the time anything can fail or panic, the riders' slots are
+    /// the job's slots and every completion path in
+    /// [`try_execute`](Self::try_execute) covers them.
     fn run_kind(&self, group: &mut MacroGroup, job: &mut Job) -> Verdict {
-        if let JobKind::MvmMany { handle } = &job.kind {
-            let handle = *handle;
+        if let JobKind::Compute { handle, xs: xs @ None, .. } = &mut job.kind {
             // Drain whatever the batch accumulated between its opening
-            // submission and now (nothing, if a redundant dispatch raced).
-            let Some(batch) = self.pending_mvm.lock().expect("pending lock").remove(&handle) else {
+            // submission and now.
+            let Some(batch) = self.pending_mvm.lock().expect("pending lock").remove(handle) else {
                 return Verdict::Done;
             };
-            job.kind = JobKind::MvmSet { handle, xs: batch.xs };
+            *xs = Some(batch.xs);
             job.slots = batch.slots;
             job.meta = batch.meta;
         }
+        let (handle, op, xs, per_request) = match &job.kind {
+            JobKind::Compute { handle, op, xs: Some(xs), per_request } => {
+                (*handle, *op, xs, *per_request)
+            }
+            JobKind::Compute { xs: None, .. } => unreachable!("drained above"),
+            JobKind::Load { handle, matrix, mapping } => {
+                return self.run_load(group, job, *handle, matrix, *mapping);
+            }
+            JobKind::Free { handle } => return self.run_free(group, job, *handle),
+        };
         // One registry lookup decides where a compute job actually runs.
         // A job whose operator is still homed on a *quarantined* shard hit
         // the migration window: bounce it (a requeue that burns no retry)
         // until the healer has relocated or demoted the operator, instead
         // of wasting analog dispatches — and the job's retries — on arrays
         // already known to be bad.
-        let route = |op: OperatorHandle| -> Route {
+        let (target, quarantined) = {
             let reg = self.registry.lock().expect("registry lock");
-            match reg.exec_target(op) {
-                Err(e) => Route::Fail(e),
-                Ok(ExecTarget::Digital(m)) => Route::Digital(m),
-                Ok(ExecTarget::Analog { shard, id }) => {
-                    if shard == job.shard && !reg.is_quarantined(shard) {
-                        Route::Run(id)
-                    } else {
-                        Route::Requeue(shard)
-                    }
-                }
-            }
+            (reg.exec_target(handle), reg.is_quarantined(job.shard))
         };
-        match &job.kind {
-            JobKind::MvmMany { .. } => {
-                unreachable!("hydrated into MvmSet above")
+        let answer = match target {
+            Err(e) => Err(e),
+            Ok(ExecTarget::Digital(m)) => {
+                self.degraded.fetch_add(1, Ordering::SeqCst);
+                Self::digital(&m, op, xs)
             }
-            JobKind::MvmSet { handle, xs } => match route(*handle) {
-                Route::Fail(e) => {
-                    for slot in &job.slots {
-                        slot.fill(Err(e.clone()));
-                    }
-                    Verdict::Done
+            Ok(ExecTarget::Analog { shard, id }) if shard == job.shard && !quarantined => {
+                let ys = match op {
+                    Op::Mvm => group.mvm_batch(id, xs),
+                    Op::Inv => group.solve_inv_batch(id, xs),
+                    Op::Pinv => group.solve_pinv_batch(id, xs),
+                };
+                match ys {
+                    Ok(ys) if !self.residuals_ok(group, id, op, xs, &ys) => return Verdict::Failed,
+                    ys => ys.map_err(RuntimeError::from),
                 }
-                Route::Digital(m) => {
-                    for (slot, x) in job.slots.iter().zip(xs) {
-                        slot.fill(Ok(JobOutput::Vector(m.matvec(x))));
-                    }
-                    self.degraded.fetch_add(1, Ordering::SeqCst);
-                    Verdict::Done
-                }
-                Route::Requeue(to) => Verdict::Requeue {
-                    to,
-                    kind: job.kind.clone(),
-                    slots: job.slots.clone(),
-                    meta: job.meta.clone(),
-                },
-                Route::Run(id) => match group.mvm_batch(id, xs) {
-                    Ok(ys) => {
-                        if !self.mvm_residuals_ok(group, id, xs, &ys) {
-                            return Verdict::Failed {
-                                kind: job.kind.clone(),
-                                slots: job.slots.clone(),
-                                meta: job.meta.clone(),
-                            };
-                        }
-                        for (slot, y) in job.slots.iter().zip(ys) {
-                            slot.fill(Ok(JobOutput::Vector(y)));
-                        }
-                        Verdict::Done
-                    }
-                    Err(e) => {
-                        for slot in &job.slots {
-                            slot.fill(Err(RuntimeError::from(e.clone())));
-                        }
-                        Verdict::Done
-                    }
-                },
-            },
-            JobKind::MvmBatch { handle, xs } => match route(*handle) {
-                Route::Fail(e) => {
-                    job.slots[0].fill(Err(e));
-                    Verdict::Done
-                }
-                Route::Digital(m) => {
-                    let ys = xs.iter().map(|x| m.matvec(x)).collect();
-                    job.slots[0].fill(Ok(JobOutput::Vectors(ys)));
-                    self.degraded.fetch_add(1, Ordering::SeqCst);
-                    Verdict::Done
-                }
-                Route::Requeue(to) => Verdict::Requeue {
-                    to,
-                    kind: job.kind.clone(),
-                    slots: job.slots.clone(),
-                    meta: job.meta.clone(),
-                },
-                Route::Run(id) => match group.mvm_batch(id, xs) {
-                    Ok(ys) => {
-                        if !self.mvm_residuals_ok(group, id, xs, &ys) {
-                            return Verdict::Failed {
-                                kind: job.kind.clone(),
-                                slots: job.slots.clone(),
-                                meta: job.meta.clone(),
-                            };
-                        }
-                        job.slots[0].fill(Ok(JobOutput::Vectors(ys)));
-                        Verdict::Done
-                    }
-                    Err(e) => {
-                        job.slots[0].fill(Err(e.into()));
-                        Verdict::Done
-                    }
-                },
-            },
-            JobKind::SolveInv { handle, b } => match route(*handle) {
-                Route::Fail(e) => {
-                    job.slots[0].fill(Err(e));
-                    Verdict::Done
-                }
-                Route::Digital(m) => {
-                    job.slots[0].fill(Self::digital_solve(&m, b).map(JobOutput::Vector));
-                    self.degraded.fetch_add(1, Ordering::SeqCst);
-                    Verdict::Done
-                }
-                Route::Requeue(to) => Verdict::Requeue {
-                    to,
-                    kind: job.kind.clone(),
-                    slots: job.slots.clone(),
-                    meta: job.meta.clone(),
-                },
-                Route::Run(id) => match group.solve_inv(id, b) {
-                    Ok(x) => {
-                        if !self.solve_residuals_ok(
-                            group,
-                            id,
-                            std::slice::from_ref(b),
-                            std::slice::from_ref(&x),
-                        ) {
-                            return Verdict::Failed {
-                                kind: job.kind.clone(),
-                                slots: job.slots.clone(),
-                                meta: job.meta.clone(),
-                            };
-                        }
-                        job.slots[0].fill(Ok(JobOutput::Vector(x)));
-                        Verdict::Done
-                    }
-                    Err(e) => {
-                        job.slots[0].fill(Err(e.into()));
-                        Verdict::Done
-                    }
-                },
-            },
-            JobKind::SolveInvBatch { handle, bs } => match route(*handle) {
-                Route::Fail(e) => {
-                    job.slots[0].fill(Err(e));
-                    Verdict::Done
-                }
-                Route::Digital(m) => {
-                    let xs: Result<Vec<_>, _> =
-                        bs.iter().map(|b| Self::digital_solve(&m, b)).collect();
-                    job.slots[0].fill(xs.map(JobOutput::Vectors));
-                    self.degraded.fetch_add(1, Ordering::SeqCst);
-                    Verdict::Done
-                }
-                Route::Requeue(to) => Verdict::Requeue {
-                    to,
-                    kind: job.kind.clone(),
-                    slots: job.slots.clone(),
-                    meta: job.meta.clone(),
-                },
-                Route::Run(id) => match group.solve_inv_batch(id, bs) {
-                    Ok(xs) => {
-                        if !self.solve_residuals_ok(group, id, bs, &xs) {
-                            return Verdict::Failed {
-                                kind: job.kind.clone(),
-                                slots: job.slots.clone(),
-                                meta: job.meta.clone(),
-                            };
-                        }
-                        job.slots[0].fill(Ok(JobOutput::Vectors(xs)));
-                        Verdict::Done
-                    }
-                    Err(e) => {
-                        job.slots[0].fill(Err(e.into()));
-                        Verdict::Done
-                    }
-                },
-            },
-            JobKind::SolvePinvBatch { handle, bs } => match route(*handle) {
-                Route::Fail(e) => {
-                    job.slots[0].fill(Err(e));
-                    Verdict::Done
-                }
-                Route::Digital(m) => {
-                    let xs: Result<Vec<_>, _> =
-                        bs.iter().map(|b| Self::digital_least_squares(&m, b)).collect();
-                    job.slots[0].fill(xs.map(JobOutput::Vectors));
-                    self.degraded.fetch_add(1, Ordering::SeqCst);
-                    Verdict::Done
-                }
-                Route::Requeue(to) => Verdict::Requeue {
-                    to,
-                    kind: job.kind.clone(),
-                    slots: job.slots.clone(),
-                    meta: job.meta.clone(),
-                },
-                Route::Run(id) => match group.solve_pinv_batch(id, bs) {
-                    Ok(xs) => {
-                        if !self.pinv_residuals_ok(group, id, bs, &xs) {
-                            return Verdict::Failed {
-                                kind: job.kind.clone(),
-                                slots: job.slots.clone(),
-                                meta: job.meta.clone(),
-                            };
-                        }
-                        job.slots[0].fill(Ok(JobOutput::Vectors(xs)));
-                        Verdict::Done
-                    }
-                    Err(e) => {
-                        job.slots[0].fill(Err(e.into()));
-                        Verdict::Done
-                    }
-                },
-            },
-            JobKind::Load { handle, matrix, mapping } => {
-                self.run_load(group, job, *handle, matrix, *mapping)
             }
-            JobKind::Free { handle } => {
-                let target =
-                    self.registry.lock().expect("registry lock").retire_on(*handle, job.shard);
-                match target {
-                    Ok(FreeTarget::Local(Some(id))) => {
-                        let result = group.free_operator(id).map_err(RuntimeError::from);
-                        job.slots[0].fill(result.map(|()| JobOutput::Freed));
-                        Verdict::Done
-                    }
-                    Ok(FreeTarget::Local(None)) => {
-                        job.slots[0].fill(Ok(JobOutput::Freed));
-                        Verdict::Done
-                    }
-                    Ok(FreeTarget::Moved(to)) => Verdict::Requeue {
-                        to,
-                        kind: job.kind.clone(),
-                        slots: job.slots.clone(),
-                        meta: job.meta.clone(),
-                    },
-                    Err(e) => {
-                        job.slots[0].fill(Err(e));
-                        Verdict::Done
-                    }
+            // Homed elsewhere now, or its shard is mid-migration: requeue
+            // toward the operator's current home.
+            Ok(ExecTarget::Analog { shard, .. }) => return Verdict::Requeue(shard),
+        };
+        Self::deliver(&job.slots, per_request, answer);
+        Verdict::Done
+    }
+
+    /// Fills a compute job's slots: one [`JobOutput::Vector`] per request
+    /// of a `per_request` job, or the whole batch as one
+    /// [`JobOutput::Vectors`]. An error fails every waiter.
+    fn deliver(
+        slots: &[Arc<Slot>],
+        per_request: bool,
+        answer: Result<Vec<Vec<f64>>, RuntimeError>,
+    ) {
+        match answer {
+            Ok(ys) if per_request => {
+                for (slot, y) in slots.iter().zip(ys) {
+                    slot.fill(Ok(JobOutput::Vector(y)));
+                }
+            }
+            Ok(ys) => slots[0].fill(Ok(JobOutput::Vectors(ys))),
+            Err(e) => {
+                for slot in slots {
+                    slot.fill(Err(e.clone()));
                 }
             }
         }
+    }
+
+    /// The `Free` arm: releases the operator's planes on the job's shard,
+    /// or follows an operator that migrated after the free was queued.
+    fn run_free(&self, group: &mut MacroGroup, job: &Job, handle: OperatorHandle) -> Verdict {
+        let target = self.registry.lock().expect("registry lock").retire_on(handle, job.shard);
+        let result = match target {
+            Ok(FreeTarget::Local(Some(id))) => group.free_operator(id).map_err(RuntimeError::from),
+            Ok(FreeTarget::Local(None)) => Ok(()),
+            Ok(FreeTarget::Moved(to)) => return Verdict::Requeue(to),
+            Err(e) => Err(e),
+        };
+        job.slots[0].fill(result.map(|()| JobOutput::Freed));
+        Verdict::Done
     }
 
     /// The `Load` arm: places the matrix on the job's shard, enforcing the
@@ -1634,13 +1383,17 @@ impl Runtime {
 
     // ── health monitoring and recovery ────────────────────────────────
 
-    /// Whether every result of an MVM dispatch sits within the residual
-    /// tolerance of the operator's quantized target (always true with
-    /// checks disabled).
-    fn mvm_residuals_ok(
+    /// Whether every analog answer `ys[i]` to input `xs[i]` sits within the
+    /// residual tolerance (always true with checks disabled), judged
+    /// against the operator's quantized matrix `A`: an MVM against `A·x`, an
+    /// INV solve by `‖A·y − b‖/‖b‖`, and a PINV solve against the digital
+    /// least-squares answer (`‖A·y − b‖` is not small for an overdetermined
+    /// system, so that check compares solutions, not residual norms).
+    fn residuals_ok(
         &self,
         group: &MacroGroup,
         id: gramc_core::OperatorId,
+        op: Op,
         xs: &[Vec<f64>],
         ys: &[Vec<f64>],
     ) -> bool {
@@ -1650,67 +1403,28 @@ impl Runtime {
         let Ok(info) = group.operator_info(id) else {
             return true;
         };
-        xs.iter().zip(ys).all(|(x, y)| {
-            let y_ref = info.quantized.matvec(x);
-            vector::rel_error(y, &y_ref) <= tol
-        })
-    }
-
-    /// Whether every solve satisfies `‖A·x − b‖/‖b‖ ≤ tol` against the
-    /// quantized operator (always true with checks disabled).
-    fn solve_residuals_ok(
-        &self,
-        group: &MacroGroup,
-        id: gramc_core::OperatorId,
-        bs: &[Vec<f64>],
-        xs: &[Vec<f64>],
-    ) -> bool {
-        let Some(tol) = self.health_cfg.residual_tolerance else {
-            return true;
-        };
-        let Ok(info) = group.operator_info(id) else {
-            return true;
-        };
-        bs.iter().zip(xs).all(|(b, x)| {
-            let ax = info.quantized.matvec(x);
-            vector::rel_error(&ax, b) <= tol
-        })
-    }
-
-    /// Whether every PINV solution sits within the residual tolerance of
-    /// the digital least-squares answer on the quantized operator (always
-    /// true with checks disabled). `‖A·x − b‖` is not small for an
-    /// overdetermined system, so unlike [`solve_residuals_ok`]
-    /// (Self::solve_residuals_ok) the check compares solutions, not
-    /// residual norms.
-    fn pinv_residuals_ok(
-        &self,
-        group: &MacroGroup,
-        id: gramc_core::OperatorId,
-        bs: &[Vec<f64>],
-        xs: &[Vec<f64>],
-    ) -> bool {
-        let Some(tol) = self.health_cfg.residual_tolerance else {
-            return true;
-        };
-        let Ok(info) = group.operator_info(id) else {
-            return true;
-        };
-        bs.iter().zip(xs).all(|(b, x)| match qr::least_squares(&info.quantized, b) {
-            Ok(x_ref) => vector::rel_error(x, &x_ref) <= tol,
+        let a = &info.quantized;
+        xs.iter().zip(ys).all(|(x, y)| match op {
+            Op::Mvm => vector::rel_error(y, &a.matvec(x)) <= tol,
+            Op::Inv => vector::rel_error(&a.matvec(y), x) <= tol,
             // A rank-deficient reference cannot arbitrate — pass the check.
-            Err(_) => true,
+            Op::Pinv => {
+                qr::least_squares(a, x).map_or(true, |y_ref| vector::rel_error(y, &y_ref) <= tol)
+            }
         })
     }
 
-    /// Digital-reference solve on the registry's kept matrix.
-    fn digital_solve(matrix: &Matrix, b: &[f64]) -> Result<Vec<f64>, RuntimeError> {
-        lu::solve(matrix, b).map_err(|e| RuntimeError::from(CoreError::from(e)))
-    }
-
-    /// Digital-reference least squares (the PINV fallback path).
-    fn digital_least_squares(matrix: &Matrix, b: &[f64]) -> Result<Vec<f64>, RuntimeError> {
-        qr::least_squares(matrix, b).map_err(|e| RuntimeError::from(CoreError::from(e)))
+    /// The digital answer on the registry's kept matrix — how a degraded
+    /// operator, or a job out of retries, is served: `Matrix::matvec`,
+    /// `lu::solve` or `qr::least_squares` per input.
+    fn digital(matrix: &Matrix, op: Op, xs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, RuntimeError> {
+        xs.iter()
+            .map(|x| match op {
+                Op::Mvm => Ok(matrix.matvec(x)),
+                Op::Inv => lu::solve(matrix, x).map_err(|e| CoreError::from(e).into()),
+                Op::Pinv => qr::least_squares(matrix, x).map_err(|e| CoreError::from(e).into()),
+            })
+            .collect()
     }
 
     fn push_event(&self, event: HealthEvent) {
@@ -1745,75 +1459,32 @@ impl Runtime {
     /// the failure (possibly quarantining the shard), then re-dispatch the
     /// job to its operator's current home — or, out of retries, answer it
     /// from the digital reference path. Called outside all group locks.
-    fn handle_failure(
-        &self,
-        shard: usize,
-        retries: u32,
-        kind: JobKind,
-        slots: Vec<Arc<Slot>>,
-        meta: Vec<RequestMeta>,
-    ) {
-        self.note_failure(shard);
-        let Some(op) = kind.operator() else {
-            unreachable!("only compute jobs fail residual checks");
+    fn handle_failure(&self, job: Job) {
+        self.note_failure(job.shard);
+        let JobKind::Compute { handle, op, xs: Some(ref xs), per_request } = job.kind else {
+            unreachable!("only drained compute jobs fail residual checks");
         };
-        if retries < self.health_cfg.max_retries {
-            match self.registry.lock().expect("registry lock").exec_target(op) {
+        if job.retries < self.health_cfg.max_retries {
+            match self.registry.lock().expect("registry lock").exec_target(handle) {
                 Ok(ExecTarget::Analog { shard: home, .. }) => {
-                    self.telemetry.per_shard[shard].retries.fetch_add(1, Ordering::Relaxed);
-                    self.enqueue_job(home, kind, slots, meta, retries + 1);
+                    self.telemetry.per_shard[job.shard].retries.fetch_add(1, Ordering::Relaxed);
+                    self.enqueue(home, job.kind, job.slots, job.meta, job.retries + 1);
                     return;
                 }
                 Ok(ExecTarget::Digital(_)) => {} // fall through to digital
-                Err(e) => {
-                    for slot in &slots {
-                        slot.fill(Err(e.clone()));
-                    }
-                    return;
-                }
+                Err(e) => return Self::deliver(&job.slots, per_request, Err(e)),
             }
         }
         // Out of retries (or the operator was degraded meanwhile): answer
         // digitally from the registry's matrix so the caller still gets a
         // result, and record the degradation.
-        let matrix = match self.registry.lock().expect("registry lock").matrix_and_mapping(op) {
-            Ok((m, _)) => m,
-            Err(e) => {
-                for slot in &slots {
-                    slot.fill(Err(e.clone()));
-                }
-                return;
-            }
-        };
-        self.degraded.fetch_add(1, Ordering::SeqCst);
-        self.push_event(HealthEvent::OperatorDegraded { op, shard });
-        match kind {
-            JobKind::MvmSet { xs, .. } => {
-                for (slot, x) in slots.iter().zip(&xs) {
-                    slot.fill(Ok(JobOutput::Vector(matrix.matvec(x))));
-                }
-            }
-            JobKind::MvmBatch { xs, .. } => {
-                let ys = xs.iter().map(|x| matrix.matvec(x)).collect();
-                slots[0].fill(Ok(JobOutput::Vectors(ys)));
-            }
-            JobKind::SolveInv { b, .. } => {
-                slots[0].fill(Self::digital_solve(&matrix, &b).map(JobOutput::Vector));
-            }
-            JobKind::SolveInvBatch { bs, .. } => {
-                let xs: Result<Vec<_>, _> =
-                    bs.iter().map(|b| Self::digital_solve(&matrix, b)).collect();
-                slots[0].fill(xs.map(JobOutput::Vectors));
-            }
-            JobKind::SolvePinvBatch { bs, .. } => {
-                let xs: Result<Vec<_>, _> =
-                    bs.iter().map(|b| Self::digital_least_squares(&matrix, b)).collect();
-                slots[0].fill(xs.map(JobOutput::Vectors));
-            }
-            JobKind::MvmMany { .. } | JobKind::Load { .. } | JobKind::Free { .. } => {
-                unreachable!("these kinds never carry a Failed verdict")
-            }
-        }
+        let kept = self.registry.lock().expect("registry lock").matrix_and_mapping(handle);
+        let answer = kept.and_then(|(matrix, _)| {
+            self.degraded.fetch_add(1, Ordering::SeqCst);
+            self.push_event(HealthEvent::OperatorDegraded { op: handle, shard: job.shard });
+            Self::digital(&matrix, op, xs)
+        });
+        Self::deliver(&job.slots, per_request, answer);
     }
 
     /// Quarantines `sick` and migrates its analog operators to healthy
@@ -2008,33 +1679,18 @@ struct ServeState {
     parks: AtomicUsize,
 }
 
-/// Where one compute job actually runs, resolved against the registry at
-/// execution time (operators move under recovery).
-#[derive(Debug)]
-enum Route {
-    /// The handle is dead or was abandoned — fail the waiters.
-    Fail(RuntimeError),
-    /// The operator lives on the digital fallback path.
-    Digital(Arc<Matrix>),
-    /// The operator is analog but not runnable here (homed elsewhere, or
-    /// its shard is mid-migration) — requeue toward its current home.
-    Requeue(usize),
-    /// Runnable on this worker's group under this id.
-    Run(gramc_core::OperatorId),
-}
-
 /// What the recovery path must do after a job body ran (decided inside the
 /// group lock, acted on outside it).
 #[derive(Debug)]
 enum Verdict {
     /// Slots filled; nothing to do.
     Done,
-    /// The operator lives elsewhere now — re-enqueue the job there with
-    /// the same retry count (attribution metadata rides along).
-    Requeue { to: usize, kind: JobKind, slots: Vec<Arc<Slot>>, meta: Vec<RequestMeta> },
+    /// The operator lives on this shard now — re-enqueue the job there
+    /// with the same retry count.
+    Requeue(usize),
     /// The result failed its residual check — slots are unfilled; retry or
-    /// degrade per policy (attribution metadata rides along).
-    Failed { kind: JobKind, slots: Vec<Arc<Slot>>, meta: Vec<RequestMeta> },
+    /// degrade per policy.
+    Failed,
     /// Slots filled (with a typed error), but the shard should be flagged
     /// to the health monitor (a load that could not verify).
     ShardSuspect,

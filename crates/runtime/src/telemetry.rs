@@ -13,7 +13,7 @@ use std::sync::Arc;
 use gramc_core::metrics::{AnalogCostModel, Cost};
 use gramc_telemetry::{EventJournal, HistogramSnapshot, HwCounters, HwSnapshot, LatencyHistogram};
 
-use crate::job::JobKind;
+use crate::job::{JobKind, Op};
 use crate::tenant::{TenantEntry, TenantId};
 
 /// Stable display/index order of the job kinds.
@@ -28,15 +28,18 @@ pub(crate) const KIND_NAMES: [&str; 8] = [
     "free",
 ];
 
-/// Index of a job kind in [`KIND_NAMES`] / the per-kind aggregates.
+/// Index of a job kind in [`KIND_NAMES`] / the per-kind aggregates. A
+/// compute job's label follows from its operation and payload: a coalesced
+/// MVM dispatch is `mvm_many` until it drains its pending batch and
+/// `mvm_set` when that drained batch is re-dispatched.
 pub(crate) fn kind_index(kind: &JobKind) -> usize {
     match kind {
-        JobKind::MvmMany { .. } => 0,
-        JobKind::MvmSet { .. } => 1,
-        JobKind::MvmBatch { .. } => 2,
-        JobKind::SolveInv { .. } => 3,
-        JobKind::SolveInvBatch { .. } => 4,
-        JobKind::SolvePinvBatch { .. } => 5,
+        JobKind::Compute { op: Op::Mvm, per_request: true, xs: None, .. } => 0,
+        JobKind::Compute { op: Op::Mvm, per_request: true, xs: Some(_), .. } => 1,
+        JobKind::Compute { op: Op::Mvm, per_request: false, .. } => 2,
+        JobKind::Compute { op: Op::Inv, per_request: true, .. } => 3,
+        JobKind::Compute { op: Op::Inv, per_request: false, .. } => 4,
+        JobKind::Compute { op: Op::Pinv, .. } => 5,
         JobKind::Load { .. } => 6,
         JobKind::Free { .. } => 7,
     }
@@ -570,8 +573,11 @@ mod tests {
     fn kind_indices_match_names() {
         use crate::registry::OperatorHandle;
         let h = OperatorHandle(0);
-        assert_eq!(kind_index(&JobKind::MvmMany { handle: h }), 0);
-        assert_eq!(kind_index(&JobKind::SolvePinvBatch { handle: h, bs: Vec::new() }), 5);
+        let coalesced = JobKind::Compute { handle: h, op: Op::Mvm, xs: None, per_request: true };
+        assert_eq!(kind_index(&coalesced), 0);
+        let pinv =
+            JobKind::Compute { handle: h, op: Op::Pinv, xs: Some(Vec::new()), per_request: false };
+        assert_eq!(kind_index(&pinv), 5);
         assert_eq!(kind_index(&JobKind::Free { handle: h }), 7);
         assert_eq!(KIND_NAMES[0], "mvm_many");
         assert_eq!(KIND_NAMES[5], "solve_pinv_batch");

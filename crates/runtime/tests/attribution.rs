@@ -281,3 +281,61 @@ fn coalesced_riders_leave_linked_flow_events() {
     assert_eq!(count("\"ph\":\"s\""), count("\"ph\":\"f\""), "unbalanced flow records");
     assert!(trace.contains("\"bp\":\"e\""), "flow ends bind to their enclosing slice");
 }
+
+/// Every job kind keeps its label in the metrics and the trace. With a
+/// zero residual tolerance every analog answer fails its check, so each
+/// compute job runs once, is retried once (a coalesced batch comes back
+/// as `mvm_set`) and is then answered digitally; the quarantine threshold
+/// is out of reach, so the operator stays analog throughout.
+#[test]
+fn every_job_kind_keeps_its_label() {
+    let dim = 6;
+    let health = gramc_runtime::HealthConfig {
+        residual_tolerance: Some(0.0),
+        quarantine_after: 100,
+        max_retries: 1,
+        ..gramc_runtime::HealthConfig::default()
+    };
+    let rt = Runtime::new(1, 4, MacroConfig::small_ideal(dim), 71).with_health_config(health);
+    let mut rng = random::seeded_rng(72);
+    let a = random::spd_with_condition(&mut rng, dim, 4.0);
+    let op = rt.load(&a, TileMapping::FourBit, Placement::Pinned(0)).unwrap();
+    let mut x = || random::normal_vector(&mut rng, dim);
+
+    let handles = [
+        rt.submit_mvm(op, x()).unwrap(),
+        rt.submit_mvm(op, x()).unwrap(),
+        rt.submit_mvm_batch(op, vec![x(), x()]).unwrap(),
+        rt.submit_solve_inv(op, x()).unwrap(),
+        rt.submit_solve_inv_batch(op, vec![x(), x()]).unwrap(),
+        rt.submit_solve_pinv_batch(op, vec![x(), x()]).unwrap(),
+    ];
+    let summary = rt.run_all();
+    for h in &handles {
+        h.wait().expect("answered digitally once out of retries");
+    }
+    assert_eq!(summary.failed_checks, 10, "every analog dispatch misses a zero tolerance");
+    assert_eq!(summary.degraded, 5, "each compute job ends on the digital path");
+    rt.free(op).unwrap();
+
+    let expected = [
+        ("mvm_many", 1),
+        ("mvm_set", 1),
+        ("mvm_batch", 2),
+        ("solve_inv", 2),
+        ("solve_inv_batch", 2),
+        ("solve_pinv_batch", 2),
+        ("load", 1),
+        ("free", 1),
+    ];
+    let snap = rt.metrics_snapshot();
+    let jobs: Vec<(&str, u64)> = snap.kinds.iter().map(|k| (k.kind, k.jobs)).collect();
+    assert_eq!(jobs, expected);
+    let trace = rt.journal_chrome_trace();
+    for (kind, n) in expected {
+        for prefix in ["job", "queued"] {
+            let name = format!("\"{prefix}:{kind}\"");
+            assert_eq!(trace.matches(&name).count(), n as usize, "{name}");
+        }
+    }
+}

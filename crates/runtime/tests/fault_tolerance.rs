@@ -180,6 +180,14 @@ fn degraded_mode_serves_digitally_when_no_shard_is_healthy() {
     let sol = h_inv.wait_vector().unwrap();
     assert!(vector::rel_error(&a.matvec(&sol), &x) < 1e-9, "digital solve is exact");
 
+    // A wrong-length batch is rejected at submission: served digitally it
+    // would panic the worker, and the next request would never be served.
+    let short = rt.submit_mvm_batch(op, vec![vec![1.0; 3]]);
+    assert!(matches!(short, Err(RuntimeError::Core(_))), "{short:?}");
+    let h_next = rt.submit_mvm(op, x.clone()).unwrap();
+    rt.run_all();
+    assert!(vector::rel_error(&h_next.wait_vector().unwrap(), &a.matvec(&x)) < 1e-12);
+
     // Loads on a fully quarantined runtime still succeed — digitally.
     let op2 = rt.load(&a, TileMapping::FourBit, Placement::LeastLoaded).unwrap();
     let y2 = rt.mvm(op2, &x).unwrap();

@@ -146,6 +146,15 @@ fn malformed_mvm_request_is_rejected_at_submission() {
         matches!(rt.submit_mvm(op, vec![1.0; 3]), Err(RuntimeError::Core(_))),
         "short request must be rejected at submit time"
     );
+    let short = || vec![vec![1.0; 4], vec![1.0; 3]];
+    for rejected in [
+        rt.submit_mvm_batch(op, short()),
+        rt.submit_solve_inv(op, vec![1.0; 5]),
+        rt.submit_solve_inv_batch(op, short()),
+        rt.submit_solve_pinv_batch(op, short()),
+    ] {
+        assert!(matches!(rejected, Err(RuntimeError::Core(_))), "{rejected:?}");
+    }
     rt.run_all();
     assert_eq!(good.wait_vector().unwrap().len(), 4, "valid requests still serve");
 }
@@ -275,7 +284,11 @@ fn non_finite_inputs_are_rejected_at_submission() {
         Err(RuntimeError::NonFiniteInput)
     ));
     assert!(matches!(rt.submit_solve_inv(op, nan.clone()), Err(RuntimeError::NonFiniteInput)));
-    assert!(matches!(rt.submit_solve_inv_batch(op, vec![inf]), Err(RuntimeError::NonFiniteInput)));
+    assert!(matches!(
+        rt.submit_solve_inv_batch(op, vec![inf.clone()]),
+        Err(RuntimeError::NonFiniteInput)
+    ));
+    assert!(matches!(rt.submit_solve_pinv_batch(op, vec![inf]), Err(RuntimeError::NonFiniteInput)));
 
     // A good request submitted alongside the rejected ones still serves.
     let good = rt.submit_mvm(op, vec![1.0, 0.0, 0.0, 0.0]).unwrap();

@@ -12,7 +12,7 @@
 //! |-------|----------|
 //! | [`linalg`] | dense LA baseline (LU/QR/SVD/eigen), random ensembles |
 //! | [`device`] | Stanford-PKU RRAM model, 1T1R cell, level quantizer |
-//! | [`array`]  | 128×128 crossbar, write-verify, conductance mapping |
+//! | [`array`](mod@array) | 128×128 crossbar, write-verify, conductance mapping |
 //! | [`circuit`]| MNA simulator + the four AMC topologies |
 //! | [`core`]   | AMC macro group, ISA + controller, functional modules |
 //! | [`runtime`]| sharded multi-group runtime, work-stealing scheduler |
