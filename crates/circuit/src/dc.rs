@@ -62,14 +62,16 @@ enum OpampStamping {
 /// pivoting: op-amp output currents first (column singletons, so no fill),
 /// then op-amp constraint rows and inverter nodes (two or three entries
 /// each). Elimination stops once the cheapest admissible pivot would cost
-/// more than the unknowns left, and that remaining block — the unknowns
-/// the crossbar couples — is factored by the dense
-/// [`LuDecomposition`](gramc_linalg::LuDecomposition). For an `n×n`
-/// INV or EGV circuit the dense core holds the `n` solution nodes; for an
-/// `m×n` PINV circuit it holds the `m + n` residual and solution nodes; an
-/// MVM circuit (open loop) and the transient engine's pinned-output
-/// network leave no core at all. A solve runs sparse L, dense core, sparse
-/// U.
+/// more than the unknowns left; that remaining block — the unknowns the
+/// crossbar couples — is the core. For an `n×n` INV or EGV circuit the
+/// core holds the `n` solution nodes and is factored by the dense
+/// [`LuDecomposition`](gramc_linalg::LuDecomposition). For an `m×n` PINV
+/// circuit it holds the `m + n` residual and solution nodes; the `m`
+/// residual-side pivots share no row or column, so they go in one Schur
+/// step and only an `n×n` block is factored densely (the whole core is,
+/// should one of them fail the pivot threshold). An MVM circuit (open
+/// loop) and the transient engine's pinned-output network leave no core at
+/// all. A solve runs sparse L, core, sparse U.
 ///
 /// Workloads that solve the *same* resistive network under many
 /// excitations — the macro auto-ranging loops, the transient integrator,
@@ -80,11 +82,21 @@ enum OpampStamping {
 ///
 /// The elimination order follows from the sparsity pattern alone unless
 /// the threshold test rejects a candidate. Every factorization therefore
-/// records its order and every slot it touched, and when the same topology
-/// comes back with new element values — the same array read again with
-/// fresh read noise — [`refactor`](Self::refactor) replays that record on
-/// the new values instead of searching again, bit for bit what
-/// [`new`](Self::new) would compute.
+/// records its order, every slot it touched and the starting slots each
+/// conductance element stamps. When the same topology comes back with new
+/// conductances — the same array read again with fresh read noise —
+/// [`refactor_conductances`](Self::refactor_conductances) sums the new
+/// values straight into those slots and replays the record, bit for bit
+/// what [`new`](Self::new) would compute; [`refactor`](Self::refactor)
+/// does the same from a circuit.
+///
+/// Cost: [`new`](Self::new) walks the netlist twice, searches every pivot
+/// and records the plan, so it is the slow path, paid once per topology.
+/// A replay touches no netlist: it gathers one value per conductance into
+/// the recorded slots, redoes the recorded sparse arithmetic and factors
+/// the core again (a 32-unknown dense block for a 32×32 INV, a 64-pivot
+/// Schur step plus a 32-unknown block for a 64×32 PINV). A one-column
+/// solve substitutes a vector.
 ///
 /// The factorization captures the circuit *topology and element values that
 /// enter the matrix*: conductances, source/op-amp connectivity and op-amp
@@ -95,9 +107,9 @@ enum OpampStamping {
 pub struct DcOperator {
     /// `None` for the empty circuit (trivial solution).
     lu: Option<SparseLu>,
-    /// How [`refactor`](Self::refactor) restamps `lu`'s pattern; `None`
+    /// How a replay stamps new conductances into `lu`'s pattern; `None`
     /// when `lu` cannot be replayed.
-    restamp: Option<Restamp>,
+    gather: Option<Gather>,
     nv: usize,
     nvs: usize,
     nop: usize,
@@ -190,59 +202,141 @@ fn stamp(circuit: &Circuit, stamping: OpampStamping, mut add: impl FnMut(usize, 
     }
 }
 
-/// How [`DcOperator::refactor`] stamps a circuit into the starting pattern
-/// of the recorded factorization, checking that every stamp lands where it
-/// landed when [`assemble`] built the pattern.
-#[derive(Debug, Clone)]
-struct Restamp {
-    /// Row `i`'s kept (nonzero) off-diagonal stamps, in call order, are its
-    /// raw stamps `raw_ptr[i]..raw_ptr[i + 1]`.
-    raw_ptr: Vec<usize>,
-    /// Starting slot of every raw stamp.
-    slot_of: Vec<u32>,
-    /// Starting slot of each row's diagonal; [`NO_SLOT`] where it has none.
-    diag: Vec<u32>,
-    /// Column of every starting slot.
-    cols: Vec<u32>,
-}
-
-/// Marks a row without a diagonal entry.
+/// Marks a stamp without a starting entry: a grounded end, or the
+/// diagonal of a node that has none.
 const NO_SLOT: u32 = u32::MAX;
 
-impl Restamp {
-    /// Sums the stamps of `circuit` into `values` (zeroed, one per starting
-    /// slot) as [`assemble`] sums them, and says whether they form the
-    /// pattern it built: every row's kept stamps at the same columns in the
-    /// same order, and no entry summing to zero.
-    fn stamp(&self, circuit: &Circuit, stamping: OpampStamping, values: &mut [f64]) -> bool {
-        // The next raw stamp of each row.
-        let mut next = self.raw_ptr[..self.raw_ptr.len() - 1].to_vec();
-        let mut fits = true;
-        // `stamp` calls this from many sites; left out of line, every call
-        // would reload the captured state (measured ~1.5× slower replays).
-        stamp(
-            circuit,
-            stamping,
-            #[inline(always)]
-            |i, j, v| {
-                let s = if i == j {
-                    self.diag[i]
-                } else if v == 0.0 {
-                    return; // dropped, as in assembly
-                } else if next[i] < self.raw_ptr[i + 1] {
+/// Marks a conductance element that was zero when recorded, so stamped
+/// nothing.
+const ZERO: u32 = u32::MAX - 1;
+
+/// How a replay stamps new conductance values into the starting pattern of
+/// the recorded factorization, without a netlist.
+#[derive(Debug, Clone)]
+struct Gather {
+    /// The starting slots of each conductance element's four stamps, in
+    /// element order: the diagonals of its ends, then its two off-diagonal
+    /// entries. [`NO_SLOT`] where a stamp has no entry (a grounded end),
+    /// `[ZERO; 4]` for an element that was zero.
+    elems: Vec<[u32; 4]>,
+    /// Slot and value of every starting entry the sources and op-amps
+    /// stamp. These lie in branch-current rows or columns, which no
+    /// conductance touches, so they never change.
+    fixed: Vec<(u32, f64)>,
+    /// Diagonal slot of each node, ground ([`NO_SLOT`]) included: the
+    /// nodes the conductances join.
+    diag: Vec<u32>,
+    /// Terminals of the sources, and terminals and gains of the op-amps,
+    /// which fix `fixed`.
+    sources: Vec<(Node, Node)>,
+    opamps: Vec<(Node, Node, Node, Option<f64>)>,
+}
+
+impl Gather {
+    /// Records how `rows`, as [`assemble`] built them from `circuit`, take
+    /// its conductances: the raw off-diagonal stamps of node row `i` are
+    /// `raw_ptr[i]..`, conductances first and in element order, and raw
+    /// stamp `k` sums into slot `slot_of[k]`. `None` for a circuit with a
+    /// nonzero conductance from a node to itself, whose stamps cancel on
+    /// the diagonal: without one, positive conductances can never sum to
+    /// zero, which [`stamp`](Self::stamp) relies on.
+    fn record(
+        circuit: &Circuit,
+        rows: &[Vec<Entry>],
+        raw_ptr: &[usize],
+        slot_of: &[u32],
+        diag_slot: &[u32],
+    ) -> Option<Self> {
+        let nv = circuit.node_count - 1;
+        let mut diag = vec![NO_SLOT; nv + 1];
+        diag[1..].copy_from_slice(&diag_slot[..nv]);
+        let mut next = raw_ptr[..nv].to_vec();
+        let mut elems = Vec::with_capacity(circuit.conductances.len());
+        for e in &circuit.conductances {
+            if e.g == 0.0 {
+                elems.push([ZERO; 4]);
+                continue;
+            }
+            if e.a == e.b && e.a.index() != 0 {
+                return None;
+            }
+            let (a, b) = (diag[e.a.index()], diag[e.b.index()]);
+            let mut off = |from: Node, to: Node| match (idx(from), idx(to)) {
+                (Some(i), Some(_)) => {
                     next[i] += 1;
-                    self.slot_of[next[i] - 1]
-                } else {
-                    NO_SLOT
-                };
-                if s != NO_SLOT && self.cols[s as usize] as usize == j {
-                    values[s as usize] += v;
-                } else {
-                    fits = false;
+                    slot_of[next[i] - 1]
                 }
-            },
-        );
-        fits && next[..] == self.raw_ptr[1..] && values.iter().all(|&v| v != 0.0)
+                _ => NO_SLOT,
+            };
+            elems.push([a, b, off(e.a, e.b), off(e.b, e.a)]);
+        }
+        let fixed = rows
+            .iter()
+            .enumerate()
+            .flat_map(|(i, row)| row.iter().filter(move |e| i >= nv || e.index as usize >= nv))
+            .map(|e| (e.slot, e.value))
+            .collect();
+        Some(Self {
+            elems,
+            fixed,
+            diag,
+            sources: circuit.voltage_sources.iter().map(|e| (e.plus, e.minus)).collect(),
+            opamps: circuit.opamps.iter().map(|e| (e.inp, e.inn, e.out, e.model.gain)).collect(),
+        })
+    }
+
+    /// Sums `conductances`, one per element in element order, into `start`
+    /// (zeroed, one value per starting slot) as [`assemble`] sums them, and
+    /// says whether they form the recorded pattern: one value per element,
+    /// positive and finite where the recorded element was nonzero, zero
+    /// where it was zero. Every node entry then sums values of one sign, so
+    /// none is zero, as none was when recorded.
+    fn stamp(&self, conductances: &[f64], start: &mut [f64]) -> bool {
+        if conductances.len() != self.elems.len() {
+            return false;
+        }
+        for &(s, v) in &self.fixed {
+            start[s as usize] = v;
+        }
+        let mut fits = true;
+        for (&[a, b, ab, ba], &g) in self.elems.iter().zip(conductances) {
+            if a == ZERO {
+                fits &= g == 0.0;
+                continue;
+            }
+            fits &= g > 0.0 && g.is_finite();
+            // The order of `stamp`'s four calls.
+            for (s, v) in [(a, g), (b, g), (ab, -g), (ba, -g)] {
+                if s != NO_SLOT {
+                    start[s as usize] += v;
+                }
+            }
+        }
+        fits
+    }
+
+    /// Whether `circuit` has the recorded topology: its nonzero conductances
+    /// join the recorded nodes, and its sources and op-amps have the
+    /// recorded terminals and gains.
+    fn connects_as(&self, circuit: &Circuit) -> bool {
+        let slot = |n: Node| Some(self.diag[n.index()]).filter(|&s| s != NO_SLOT || n.index() == 0);
+        circuit.node_count == self.diag.len()
+            && circuit.conductances.len() == self.elems.len()
+            && circuit
+                .conductances
+                .iter()
+                .zip(&self.elems)
+                .all(|(e, r)| e.g == 0.0 || (slot(e.a) == Some(r[0]) && slot(e.b) == Some(r[1])))
+            && circuit
+                .voltage_sources
+                .iter()
+                .map(|e| (e.plus, e.minus))
+                .eq(self.sources.iter().copied())
+            && circuit
+                .opamps
+                .iter()
+                .map(|e| (e.inp, e.inn, e.out, e.model.gain))
+                .eq(self.opamps.iter().copied())
     }
 }
 
@@ -250,13 +344,13 @@ impl Restamp {
 /// of one position sum in element order, as in a dense assembly; the
 /// diagonal comes last in its row. Entries are numbered row-major: these
 /// are the starting slots of the factorization's record. Also returns the
-/// [`Restamp`] of these rows, unless a repeated stamp cancelled to zero and
+/// [`Gather`] of these rows, unless a repeated stamp cancelled to zero and
 /// was dropped.
 fn assemble(
     circuit: &Circuit,
     stamping: OpampStamping,
     dim: usize,
-) -> (Vec<Vec<Entry>>, Option<Restamp>) {
+) -> (Vec<Vec<Entry>>, Option<Gather>) {
     // One pass counts each row's kept (nonzero) off-diagonal stamps, the
     // next fills the rows with them. Diagonal stamps (both ends of every
     // conductance) sum in place.
@@ -317,12 +411,8 @@ fn assemble(
         }
         start += row.len();
     }
-    let restamp = exact.then(|| {
-        let mut cols = Vec::with_capacity(start);
-        cols.extend(rows.iter().flatten().map(|e| e.index));
-        Restamp { raw_ptr, slot_of, diag: diag_slot, cols }
-    });
-    (rows, restamp)
+    let gather = exact.then(|| Gather::record(circuit, &rows, &raw_ptr, &slot_of, &diag_slot));
+    (rows, gather.flatten())
 }
 
 impl DcOperator {
@@ -357,28 +447,24 @@ impl DcOperator {
         let nop = circuit.opamps.len();
         let dim = nv + nvs + nop;
         if dim == 0 {
-            return Ok(Self { lu: None, restamp: None, nv, nvs, nop, stamping });
+            return Ok(Self { lu: None, gather: None, nv, nvs, nop, stamping });
         }
-        let (rows, restamp) = assemble(circuit, stamping, dim);
+        let (rows, gather) = assemble(circuit, stamping, dim);
         let lu = SparseLu::new(dim, rows).map_err(CircuitError::from)?;
-        let restamp = restamp.filter(|_| lu.can_refactor());
-        Ok(Self { lu: Some(lu), restamp, nv, nvs, nop, stamping })
+        let gather = gather.filter(|_| lu.can_refactor());
+        Ok(Self { lu: Some(lu), gather, nv, nvs, nop, stamping })
     }
 
     /// Refactors for the element values of `circuit`, a circuit of the
-    /// same topology as the one this operator was built from — typically
-    /// the same netlist rebuilt around a fresh read of the array.
+    /// same topology as the one this operator was built from.
     ///
-    /// The circuit is stamped straight into the recorded sparse pattern
-    /// and the recorded elimination is replayed on it: the same arithmetic
-    /// in the same order, with the same threshold and singularity tests,
-    /// but no pivot search. The factors are bit for bit those of
-    /// [`new`](Self::new) on `circuit`. This falls back to a fresh
-    /// factorization, which records itself for the next call, when the
-    /// pattern differs (another topology, a zero conductance, or entries
-    /// summing to zero), when a replayed pivot fails its test, or when the
-    /// recorded run rejected a candidate, the one case where the
-    /// elimination order depended on the values.
+    /// When `circuit` joins the recorded nodes with its conductances and
+    /// has the recorded sources and op-amps (terminals and gains), this is
+    /// [`refactor_conductances`](Self::refactor_conductances) on its
+    /// conductance values: the factors are bit for bit those of
+    /// [`new`](Self::new) on `circuit`. Otherwise, or where that declines,
+    /// it falls back to a fresh factorization, which records itself for the
+    /// next call.
     ///
     /// # Errors
     ///
@@ -394,11 +480,41 @@ impl DcOperator {
     /// Replays the recorded factorization on `circuit`; `false` (factors
     /// unchanged) where only a fresh one is exact.
     fn replay(&mut self, circuit: &Circuit) -> bool {
-        let (Some(lu), Some(restamp)) = (&mut self.lu, &self.restamp) else { return false };
-        circuit.node_count - 1 == self.nv
-            && circuit.voltage_sources.len() == self.nvs
-            && circuit.opamps.len() == self.nop
-            && lu.refactor(|start| restamp.stamp(circuit, self.stamping, start))
+        self.gather.as_ref().is_some_and(|g| g.connects_as(circuit))
+            && self.refactor_conductances(
+                &circuit.conductances.iter().map(|e| e.g).collect::<Vec<_>>(),
+            )
+    }
+
+    /// Refactors for new conductance values of the circuit this operator
+    /// was built from, with no netlist: `conductances` holds the value of
+    /// every conductance element in the order the circuit added them (for
+    /// the INV and PINV builders, [`topology::inv_conductances`] and
+    /// [`topology::pinv_conductances`]). Sources and op-amps stay as
+    /// recorded; source values and op-amp offsets only enter the RHS.
+    ///
+    /// The values are summed straight into the recorded starting slots and
+    /// the recorded elimination is replayed on them: the same arithmetic in
+    /// the same order, with the same threshold and singularity tests, but
+    /// no pivot search. The factors are bit for bit those of
+    /// [`new`](Self::new) on the circuit with these values.
+    ///
+    /// Returns `false`, with the factors unchanged, where only a fresh
+    /// factorization is exact or defined: a value count other than the
+    /// element count, a zero, negative or non-finite value where the
+    /// recorded element was positive (a zero drops its stamps), a nonzero
+    /// one where it was zero, a replayed pivot failing its test or a
+    /// singular core. It always declines when the recorded circuit had
+    /// entries summing to zero (repeated stamps that cancelled, or a
+    /// conductance from a node to itself) or its run rejected a candidate,
+    /// the one case where the elimination order depended on the values.
+    /// Build the circuit and factor it with [`new`](Self::new) then.
+    ///
+    /// [`topology::inv_conductances`]: crate::topology::inv_conductances
+    /// [`topology::pinv_conductances`]: crate::topology::pinv_conductances
+    pub fn refactor_conductances(&mut self, conductances: &[f64]) -> bool {
+        let (Some(lu), Some(gather)) = (&mut self.lu, &self.gather) else { return false };
+        lu.refactor(|start| gather.stamp(conductances, start))
     }
 
     /// Dimension of the MNA system (0 for the empty circuit).
@@ -492,9 +608,10 @@ impl DcOperator {
 
     /// Multi-RHS solve: each column of `rhs` is one excitation, each column
     /// of the result is the corresponding raw MNA solution vector. All
-    /// columns share the factorization and substitute together (the dense
-    /// core through [`LuDecomposition::solve_matrix`]); every column matches
-    /// [`solve_rhs`](Self::solve_rhs) bit for bit.
+    /// columns share the factorization and substitute together (a dense
+    /// core through [`LuDecomposition::solve_matrix`], a Schur-reduced one
+    /// column by column); a single column substitutes as a vector. Every
+    /// column matches [`solve_rhs`](Self::solve_rhs) bit for bit.
     ///
     /// [`LuDecomposition::solve_matrix`]: gramc_linalg::LuDecomposition::solve_matrix
     ///
@@ -791,16 +908,23 @@ mod tests {
     }
 
     /// Solves `circuit` through `DcOperator` and through a dense LU of its
-    /// whole MNA matrix, for three excitations one at a time and as one
-    /// multi-RHS batch. Node voltages and branch currents must agree to
-    /// 1e-9 relative, and the batch must match the single solves bit for
-    /// bit. Returns the size of the operator's dense core.
+    /// whole MNA matrix, for three excitations one at a time, as one
+    /// multi-RHS batch and the first as a one-column batch. Node voltages
+    /// and branch currents must agree to 1e-9 relative, and both batches
+    /// must match the single solves bit for bit. Returns the size of the
+    /// operator's dense core.
     fn cross_check(circuit: &Circuit, stamping: OpampStamping) -> usize {
         let op = DcOperator::build(circuit, stamping).unwrap();
         let dense = gramc_linalg::LuDecomposition::new(&dense_mna(circuit, stamping)).unwrap();
         let nv = op.unknown_nodes();
         let rhs = excitations(&op);
         let batch = op.solve_rhs_matrix(&rhs).unwrap();
+        let single = op.solve_rhs_matrix(&Matrix::from_vec(op.dim(), 1, rhs.col(0))).unwrap();
+        let sol = op.solve_rhs(&rhs.col(0)).unwrap();
+        let got = sol.node_voltages[1..].iter().chain(&sol.branch_currents);
+        for (i, v) in got.enumerate() {
+            assert_eq!(v.to_bits(), single[(i, 0)].to_bits(), "one-column batch, row {i}");
+        }
         for k in 0..3 {
             let want = dense.solve(&rhs.col(k)).unwrap();
             let sol = op.solve_rhs(&rhs.col(k)).unwrap();
@@ -872,11 +996,20 @@ mod tests {
         for (rows, cols) in [(6, 3), (16, 8), (64, 32)] {
             let (gp, gn) = pair(&gramc_linalg::random::gaussian_matrix(&mut rng, rows, cols));
             let i_b = vec![1e-6; rows];
-            for c in
-                with_models(|m| topology::build_pinv(&gp, &gn, &i_b, 50e-6, m).unwrap().circuit)
-            {
+            let pinv = |g_f| {
+                with_models(|m| topology::build_pinv(&gp, &gn, &i_b, g_f, m).unwrap().circuit)
+            };
+            // The row side of the `rows + cols` core goes in one Schur step.
+            for c in pinv(50e-6) {
                 let core = check_both(&c);
-                assert!(core <= rows + cols, "PINV {rows}×{cols}: dense core {core}");
+                assert_eq!(core, cols, "PINV {rows}×{cols}: dense core {core}");
+            }
+            // A 1 µS feedback leaves the row-side pivots at 0.011–0.032 of
+            // their column maxima, below the threshold: the whole core is
+            // factored densely.
+            if rows == 64 {
+                let [_, finite] = pinv(1e-6);
+                assert_eq!(check_both(&finite), rows + cols, "PINV {rows}×{cols}, 1 µS");
             }
         }
     }
@@ -972,9 +1105,12 @@ mod tests {
     fn replayed_factorization_matches_fresh_on_pinv() {
         let a =
             gramc_linalg::random::gaussian_matrix(&mut gramc_linalg::random::seeded_rng(7), 64, 32);
-        check_replays(&a, 8, |gp, gn, m| {
-            topology::build_pinv(gp, gn, &[1e-6; 64], 50e-6, m).unwrap().circuit
-        });
+        // 50 µS replays the Schur step, 1 µS the whole dense core.
+        for g_f in [50e-6, 1e-6] {
+            check_replays(&a, 8, |gp, gn, m| {
+                topology::build_pinv(gp, gn, &[1e-6; 64], g_f, m).unwrap().circuit
+            });
+        }
     }
 
     #[test]
@@ -1054,6 +1190,95 @@ mod tests {
         assert!(op.replay(&extra));
         assert_solves_as_fresh(&op, &extra);
         assert_falls_back(&mut op, &inv(&gp));
+        // A conductance moved to another node, the element count unchanged.
+        let mut moved = inv(&gp);
+        let last = moved.conductances.len() - 1;
+        moved.conductances[last].b = Node(1);
+        assert_falls_back(&mut op, &moved);
+        // An op-amp gain, which enters the matrix.
+        let mut regained = inv(&gp);
+        regained.set_opamp_model(regained.opamp_ids()[3], OpampModel::with_gain(2e4));
+        assert_falls_back(&mut op, &regained);
+    }
+
+    #[test]
+    fn conductance_refactor_declines_values_off_the_recorded_pattern() {
+        let (gp, gn) = pair(&gramc_linalg::random::spd_with_condition(
+            &mut gramc_linalg::random::seeded_rng(12),
+            8,
+            4.0,
+        ));
+        let inv = |gp: &Matrix| {
+            topology::build_inv(gp, &gn, &[1e-6; 8], OpampModel::with_gain(1e4)).unwrap().circuit
+        };
+        // Element of cell (i, j)'s positive conductance.
+        let cell = |i: usize, j: usize| 2 * 8 + 2 * (i * 8 + j);
+        let mut open = gp.clone();
+        open[(2, 5)] = 0.0;
+        let mut op = DcOperator::new(&inv(&open)).unwrap();
+        // The recorded zero stays zero: a replay.
+        open[(0, 0)] *= 1.5;
+        assert!(op.refactor_conductances(&topology::inv_conductances(&open, &gn)));
+        assert_solves_as_fresh(&op, &inv(&open));
+        let values = topology::inv_conductances(&open, &gn);
+        let with = |k: usize, g: f64| {
+            let mut v = values.clone();
+            v[k] = g;
+            v
+        };
+        for bad in [
+            values[1..].to_vec(),
+            [&values[..], &[1e-6]].concat(),
+            with(cell(2, 5), 1e-6),
+            with(cell(1, 1), 0.0),
+            with(cell(1, 1), -1e-6),
+            with(cell(1, 1), f64::NAN),
+            with(cell(1, 1), f64::INFINITY),
+        ] {
+            assert!(!op.refactor_conductances(&bad));
+        }
+        // Declining leaves the factors as they were.
+        assert_solves_as_fresh(&op, &inv(&open));
+        // A conductance from a node to itself cancels on the diagonal: no
+        // record, every refactor is fresh.
+        let mut looped = inv(&gp);
+        looped.conductance(Node(2), Node(2), 1e-5);
+        let mut op = DcOperator::new(&looped).unwrap();
+        assert_falls_back(&mut op, &looped);
+    }
+
+    /// Heap bytes of `op`: factors, replay plan and gather record.
+    fn resident_bytes(op: &DcOperator) -> [usize; 3] {
+        use crate::sparse::bytes;
+        let (factors, plan) = op.lu.as_ref().map_or((0, 0), SparseLu::heap_bytes);
+        let gather = op.gather.as_ref().map_or(0, |g| {
+            bytes(&g.elems)
+                + bytes(&g.fixed)
+                + bytes(&g.diag)
+                + bytes(&g.sources)
+                + bytes(&g.opamps)
+        });
+        [factors, plan, gather]
+    }
+
+    #[test]
+    fn resident_operators_stay_within_their_footprint() {
+        let mut rng = gramc_linalg::random::seeded_rng(13);
+        let model = OpampModel::with_gain(1e4);
+        let (gp, gn) = pair(&gramc_linalg::random::spd_with_condition(&mut rng, 32, 4.0));
+        let inv = topology::build_inv(&gp, &gn, &[1e-6; 32], model).unwrap().circuit;
+        let (gp, gn) = pair(&gramc_linalg::random::gaussian_matrix(&mut rng, 64, 32));
+        let pinv = topology::build_pinv(&gp, &gn, &[1e-6; 64], 50e-6, model).unwrap().circuit;
+        for (what, circuit, limit) in [("INV 32×32", inv, 210_000), ("PINV 64×32", pinv, 880_000)]
+        {
+            let mut op = DcOperator::new(&circuit).unwrap();
+            // A replay allocates the plan's work array: count it.
+            op.refactor(&circuit).unwrap();
+            let [factors, plan, gather] = resident_bytes(&op);
+            let total = factors + plan + gather;
+            eprintln!("{what}: factors {factors} B, plan {plan} B, gather {gather} B, {total} B");
+            assert!(total <= limit, "{what}: {total} B resident");
+        }
     }
 
     #[test]

@@ -8,11 +8,16 @@
 //! MNA systems are stamped into sparse rows and factored by sparse
 //! elimination ([`DcOperator`]): op-amp currents, op-amp constraint rows and
 //! inverter nodes go first, and `gramc-linalg`'s dense `LuDecomposition`
-//! factors only the block the crossbar couples — the `n` solution nodes of
-//! an `n×n` INV circuit, the `m + n` residual and solution nodes of an
-//! `m×n` PINV circuit. Every factorization records its elimination, so the
-//! same circuit rebuilt around a fresh read of the arrays is refactored by
-//! replaying it ([`DcOperator::refactor`]).
+//! factors only what the crossbar couples — the `n` solution nodes of an
+//! `n×n` INV circuit, and for an `m×n` PINV circuit the `n` solution nodes
+//! left once the `m` residual-side pivots, which share no row or column,
+//! are eliminated in one Schur step. Every factorization records its
+//! elimination and the slots each conductance stamps, so a fresh read of
+//! the arrays is gathered straight into it and the elimination replayed,
+//! with no netlist ([`DcOperator::refactor_conductances`], with the element
+//! orders of [`topology::inv_conductances`] and
+//! [`topology::pinv_conductances`]), or from a rebuilt circuit
+//! ([`DcOperator::refactor`]).
 //!
 //! The crate's centerpiece is [`topology`]: builders for the four
 //! reconfigurable AMC circuit configurations of the paper — MVM, INV, PINV

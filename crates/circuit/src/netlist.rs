@@ -279,6 +279,16 @@ impl Circuit {
         self.current_sources[id.0].i = i;
     }
 
+    /// The nodes a current source drives between: `(from, into)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle is stale (from another circuit).
+    pub fn current_source_nodes(&self, id: CurrentSourceId) -> (Node, Node) {
+        let e = &self.current_sources[id.0];
+        (e.from, e.into)
+    }
+
     /// Updates an op-amp's model (e.g. to inject a sampled offset).
     ///
     /// # Panics

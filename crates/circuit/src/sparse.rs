@@ -7,8 +7,20 @@
 //! (smallest `(r−1)(c−1)` first, `r` and `c` being the entry counts of the
 //! pivot's row and column) with threshold partial pivoting, and stops once
 //! the cheapest admissible pivot would cost more than the unknowns left.
-//! The remaining block goes to the dense [`LuDecomposition`]. Solves then
-//! run sparse L, dense core, sparse U.
+//!
+//! What remains is the core. When it holds a block of pivots that share no
+//! row or column, found from the pattern alone and at least as large as the
+//! rest of the core, that block is eliminated in one Schur step: with the
+//! core ordered as `[D B; C A]`, `D` diagonal, the rest becomes
+//! `S = A − (C·D⁻¹)·B`, formed by the packed `matmul`, and only `S` goes to
+//! the dense [`LuDecomposition`]. This is the two-stage PINV circuit's
+//! core: each row TIA couples only to column unknowns, so its 64 row-side
+//! pivots leave a 32-unknown `S` for a 64×32 array. Every block pivot must
+//! pass the same threshold test as a sparse pivot (at least 0.1 of the
+//! largest entry of its column in the core); if one fails, or `S` is
+//! singular, the whole core is factored densely as before. Cores without
+//! such a block (INV, EGV) are factored densely as a whole. Solves run
+//! sparse L, the core (block, `S`, block back), sparse U.
 //!
 //! The elimination order depends on the values only through the threshold
 //! test. A factorization whose threshold test never rejected a candidate
@@ -17,7 +29,9 @@
 //! caller numbers the starting entries' slots; fill-ins take the slots
 //! after them. [`SparseLu::refactor`] replays that plan on new values of
 //! the same pattern, bit for bit the arithmetic a fresh factorization would
-//! do, without the pivot search.
+//! do, without the pivot search. The core's block is part of the pattern;
+//! whether it passes its threshold test is decided again on every replay,
+//! exactly as a fresh factorization decides it.
 //!
 //! [`DcOperator`]: crate::DcOperator
 
@@ -51,14 +65,49 @@ pub(crate) struct SparseLu {
     /// `upper[upper_ptr[k]..upper_ptr[k + 1]]`.
     upper: Vec<Entry>,
     upper_ptr: Vec<usize>,
-    /// Rows and columns left to the dense core, in index order.
+    /// Rows and columns left to the core, in index order.
     core_rows: Vec<usize>,
     core_cols: Vec<usize>,
-    core: Option<LuDecomposition>,
+    /// The core's block of independent pivots, if it has one.
+    block: Option<Block>,
+    core: Option<Core>,
     /// How to redo this factorization on new values; `None` when the
     /// threshold test rejected a candidate, so the order depended on
     /// values.
     plan: Option<Plan>,
+}
+
+/// Pivots of the core that share no row or column, as core positions
+/// (indices into `core_rows` and `core_cols`), and the core rows and
+/// columns left to their Schur complement, in index order.
+#[derive(Debug, Clone)]
+struct Block {
+    pivots: Vec<(usize, usize)>,
+    rows: Vec<usize>,
+    cols: Vec<usize>,
+}
+
+/// The factored core.
+#[derive(Debug, Clone)]
+enum Core {
+    /// The whole core, factored densely in index order.
+    Dense(LuDecomposition),
+    /// The [`Block`] eliminated in one step and its complement factored
+    /// densely.
+    Schur(Schur),
+}
+
+/// The core as `[D B; C A]`, `D` the block's pivots.
+#[derive(Debug, Clone)]
+struct Schur {
+    /// The pivots `D`.
+    pivots: Vec<f64>,
+    /// `C·D⁻¹`, one row per complement row.
+    lower: Matrix,
+    /// `B`, one row per pivot.
+    upper: Matrix,
+    /// `S = A − C·D⁻¹·B`.
+    complement: LuDecomposition,
 }
 
 /// One stored value: its column in a matrix or U row (its row in an L
@@ -87,7 +136,7 @@ struct Plan {
     /// Target slot of every update, pivot by pivot, row entry by column
     /// entry; [`FILL`] marks the update that creates its entry.
     updates: Vec<u32>,
-    /// (slot, row-major index) of every dense-core entry.
+    /// (slot, row-major index) of every core entry.
     core: Vec<(u32, u32)>,
 }
 
@@ -240,6 +289,146 @@ impl Active {
         }
         (best.0 <= budget).then_some((best.1, best.2))
     }
+
+    /// The largest block of independent pivots a greedy pass finds in the
+    /// core left by elimination, if it holds at least half the core and
+    /// leaves something to factor. Rows are visited by increasing entry
+    /// count, each taking its entry in the shortest column that keeps the
+    /// block's rows and columns crossing only at its pivots. The pattern
+    /// alone decides, so a replay finds the same block.
+    fn block(&self, core_rows: &[usize], core_cols: &[usize]) -> Option<Block> {
+        let n = core_rows.len();
+        // Such a block of p pivots leaves p(p − 1) zeros in the core, so a
+        // denser core (INV's and EGV's are full) has none.
+        let p = n.div_ceil(2);
+        let entries: usize = core_rows.iter().map(|&i| self.row_lists.count[i]).sum();
+        if entries + p * (p - 1) > n * n {
+            return None;
+        }
+        let (mut row_at, mut col_at) = (vec![NONE; self.rows.len()], vec![NONE; self.rows.len()]);
+        for (t, (&i, &j)) in core_rows.iter().zip(core_cols).enumerate() {
+            row_at[i] = t;
+            col_at[j] = t;
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&t| (self.row_lists.count[core_rows[t]], t));
+        // Rows with an entry in a chosen pivot column; columns with an
+        // entry in a chosen pivot row. Neither may join the block.
+        let (mut row_hit, mut col_hit) = (vec![false; n], vec![false; n]);
+        let mut pivots = Vec::new();
+        for t in order {
+            if row_hit[t] {
+                continue;
+            }
+            let cols = self.row(core_rows[t]).map(|e| col_at[e.index as usize]);
+            let Some(u) = cols
+                .filter(|&u| !col_hit[u])
+                .min_by_key(|&u| (self.col_lists.count[core_cols[u]], u))
+            else {
+                continue;
+            };
+            for e in self.row(core_rows[t]) {
+                col_hit[col_at[e.index as usize]] = true;
+            }
+            for (i, _) in self.col(core_cols[u]) {
+                row_hit[row_at[i]] = true;
+            }
+            pivots.push((t, u));
+        }
+        if 2 * pivots.len() < n || pivots.len() == n {
+            return None;
+        }
+        let (mut in_rows, mut in_cols) = (vec![false; n], vec![false; n]);
+        for &(t, u) in &pivots {
+            in_rows[t] = true;
+            in_cols[u] = true;
+        }
+        Some(Block {
+            pivots,
+            rows: (0..n).filter(|&t| !in_rows[t]).collect(),
+            cols: (0..n).filter(|&u| !in_cols[u]).collect(),
+        })
+    }
+}
+
+impl Block {
+    /// Whether every pivot passes the sparse pivots' threshold and
+    /// singularity tests in `core` (the core in index order).
+    fn passes(&self, core: &Matrix, scale: f64) -> bool {
+        let mut col_max = vec![0.0_f64; core.cols()];
+        for r in 0..core.rows() {
+            for (m, v) in col_max.iter_mut().zip(core.row(r)) {
+                *m = m.max(v.abs());
+            }
+        }
+        self.pivots.iter().all(|&(t, u)| {
+            let piv = core[(t, u)].abs();
+            piv >= PIVOT_THRESHOLD * col_max[u] && piv > SINGULARITY_TOL * scale
+        })
+    }
+}
+
+impl Core {
+    /// Factors `core` (in index order), through `block`'s Schur step where
+    /// it applies and densely otherwise. `scale` is the matrix scale of the
+    /// singularity test.
+    fn new(core: &Matrix, block: Option<&Block>, scale: f64) -> Result<Self, LinalgError> {
+        if let Some(b) = block.filter(|b| b.passes(core, scale)) {
+            let pivots: Vec<f64> = b.pivots.iter().map(|&(t, u)| core[(t, u)]).collect();
+            let lower = Matrix::from_fn(b.rows.len(), pivots.len(), |r, k| {
+                core[(b.rows[r], b.pivots[k].1)] / pivots[k]
+            });
+            let upper = Matrix::from_fn(pivots.len(), b.cols.len(), |k, c| {
+                core[(b.pivots[k].0, b.cols[c])]
+            });
+            let update = lower.matmul(&upper);
+            let s = Matrix::from_fn(b.rows.len(), b.cols.len(), |r, c| {
+                core[(b.rows[r], b.cols[c])] - update[(r, c)]
+            });
+            if let Ok(complement) = LuDecomposition::new(&s) {
+                return Ok(Self::Schur(Schur { pivots, lower, upper, complement }));
+            }
+        }
+        LuDecomposition::new(core).map(Self::Dense)
+    }
+
+    /// Solves the core for `y`, both indexed by core position.
+    fn solve(&self, block: Option<&Block>, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let s = match self {
+            Self::Dense(lu) => return lu.solve(y),
+            Self::Schur(s) => s,
+        };
+        let b = block.expect("a Schur core has its block");
+        let yp: Vec<f64> = b.pivots.iter().map(|&(t, _)| y[t]).collect();
+        let mut yc: Vec<f64> = b.rows.iter().map(|&t| y[t]).collect();
+        for (r, v) in yc.iter_mut().enumerate() {
+            for (l, &p) in s.lower.row(r).iter().zip(&yp) {
+                *v -= l * p;
+            }
+        }
+        let xc = s.complement.solve(&yc)?;
+        let mut x = vec![0.0; y.len()];
+        for (&u, &v) in b.cols.iter().zip(&xc) {
+            x[u] = v;
+        }
+        for (k, (&(_, u), &p)) in b.pivots.iter().zip(&yp).enumerate() {
+            let mut v = p;
+            for (ub, &xv) in s.upper.row(k).iter().zip(&xc) {
+                v -= ub * xv;
+            }
+            x[u] = v / s.pivots[k];
+        }
+        Ok(x)
+    }
+
+    /// Number of unknowns factored densely.
+    #[cfg(test)]
+    fn dense_dim(&self) -> usize {
+        match self {
+            Self::Dense(lu) => lu.dim(),
+            Self::Schur(s) => s.complement.dim(),
+        }
+    }
 }
 
 impl SparseLu {
@@ -286,6 +475,7 @@ impl SparseLu {
             upper_ptr: vec![0],
             core_rows: Vec::new(),
             core_cols: Vec::new(),
+            block: None,
             core: None,
             plan: None,
         };
@@ -378,7 +568,7 @@ impl SparseLu {
             pivot_slots.push(piv.slot);
         }
 
-        // Whatever is left is the crossbar-coupled core: factor it densely.
+        // Whatever is left is the crossbar-coupled core.
         f.core_rows = (0..dim).filter(|&i| a.row_lists.active(i)).collect();
         f.core_cols = (0..dim).filter(|&j| a.col_lists.active(j)).collect();
         if !f.core_rows.is_empty() {
@@ -396,15 +586,21 @@ impl SparseLu {
                     core_slots.push((e.slot, to_u32(idx)));
                 }
             }
-            f.core = Some(LuDecomposition::new(&core)?);
+            f.block = a.block(&f.core_rows, &f.core_cols);
+            f.core = Some(Core::new(&core, f.block.as_ref(), scale)?);
         }
-        f.plan = replayable.then(|| Plan {
-            start,
-            slots,
-            values: Vec::new(),
-            pivot_slots,
-            updates,
-            core: core_slots,
+        // A resident factorization keeps these for as long as it lives:
+        // drop the growth slack once, here.
+        f.pivots.shrink_to_fit();
+        f.lower.shrink_to_fit();
+        f.lower_ptr.shrink_to_fit();
+        f.upper.shrink_to_fit();
+        f.upper_ptr.shrink_to_fit();
+        f.plan = replayable.then(|| {
+            pivot_slots.shrink_to_fit();
+            updates.shrink_to_fit();
+            core_slots.shrink_to_fit();
+            Plan { start, slots, values: Vec::new(), pivot_slots, updates, core: core_slots }
         });
         Ok(f)
     }
@@ -414,12 +610,16 @@ impl SparseLu {
     /// entries into a zeroed slice, indexed by the slots they had in `new`,
     /// and says whether they fit that pattern.
     ///
+    /// The core is factored as `new` factors it: through the Schur step if
+    /// its block's pivots pass their tests on these values, densely
+    /// otherwise.
+    ///
     /// Returns `false`, with the factors unchanged, when there is no plan
     /// (the recorded run rejected a candidate), `stamp` declines, a
-    /// replayed pivot fails the threshold or singularity test, or the dense
-    /// core is singular: a fresh factorization would then pivot differently
-    /// or fail, and the caller runs one. Otherwise the factors are bit for
-    /// bit those `new` computes from the same values.
+    /// replayed pivot fails the threshold or singularity test, or the core
+    /// is singular: a fresh factorization would then pivot differently or
+    /// fail, and the caller runs one. Otherwise the factors are bit for bit
+    /// those `new` computes from the same values.
     pub(crate) fn refactor(&mut self, stamp: impl FnOnce(&mut [f64]) -> bool) -> bool {
         let Some(plan) = &mut self.plan else { return false };
         let v = &mut plan.values;
@@ -466,7 +666,7 @@ impl SparseLu {
             }
         }
 
-        let dense = if self.core_rows.is_empty() {
+        let core = if self.core_rows.is_empty() {
             None
         } else {
             let n = self.core_rows.len();
@@ -475,8 +675,8 @@ impl SparseLu {
             for &(s, at) in &plan.core {
                 entries[at as usize] = v[s as usize];
             }
-            match LuDecomposition::new(&core) {
-                Ok(lu) => Some(lu),
+            match Core::new(&core, self.block.as_ref(), scale) {
+                Ok(core) => Some(core),
                 Err(_) => return false,
             }
         };
@@ -486,7 +686,7 @@ impl SparseLu {
         for e in self.lower.iter_mut().chain(&mut self.upper) {
             e.value = v[e.slot as usize];
         }
-        self.core = dense;
+        self.core = core;
         true
     }
 
@@ -498,7 +698,38 @@ impl SparseLu {
     /// Number of unknowns factored densely.
     #[cfg(test)]
     pub(crate) fn core_dim(&self) -> usize {
-        self.core_rows.len()
+        self.core.as_ref().map_or(0, Core::dense_dim)
+    }
+
+    /// Heap bytes held by the factors and by the plan (its replay work
+    /// array included).
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> (usize, usize) {
+        let dense = |lu: &LuDecomposition| 8 * lu.dim() * (lu.dim() + 1);
+        let core = match &self.core {
+            None => 0,
+            Some(Core::Dense(lu)) => dense(lu),
+            Some(Core::Schur(s)) => {
+                bytes(&s.pivots)
+                    + 8 * (s.lower.as_slice().len() + s.upper.as_slice().len())
+                    + dense(&s.complement)
+            }
+        };
+        let block =
+            self.block.as_ref().map_or(0, |b| bytes(&b.pivots) + bytes(&b.rows) + bytes(&b.cols));
+        let factors = bytes(&self.pivots)
+            + bytes(&self.lower)
+            + bytes(&self.lower_ptr)
+            + bytes(&self.upper)
+            + bytes(&self.upper_ptr)
+            + bytes(&self.core_rows)
+            + bytes(&self.core_cols)
+            + block
+            + core;
+        let plan = self.plan.as_ref().map_or(0, |p| {
+            bytes(&p.values) + bytes(&p.pivot_slots) + bytes(&p.updates) + bytes(&p.core)
+        });
+        (factors, plan)
     }
 
     fn lower(&self, k: usize) -> &[Entry] {
@@ -525,7 +756,7 @@ impl SparseLu {
         let mut x = vec![0.0; self.dim];
         if let Some(core) = &self.core {
             let rhs: Vec<f64> = self.core_rows.iter().map(|&i| y[i]).collect();
-            for (&j, v) in self.core_cols.iter().zip(core.solve(&rhs)?) {
+            for (&j, v) in self.core_cols.iter().zip(core.solve(self.block.as_ref(), &rhs)?) {
                 x[j] = v;
             }
         }
@@ -540,7 +771,8 @@ impl SparseLu {
     }
 
     /// Solves `A·X = B` for every column of `B`, matching [`solve`]
-    /// column for column.
+    /// column for column. A single column goes through [`solve`] itself,
+    /// which substitutes a vector rather than one-column matrix rows.
     ///
     /// # Errors
     ///
@@ -549,6 +781,9 @@ impl SparseLu {
     /// [`solve`]: Self::solve
     pub(crate) fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
         let m = b.cols();
+        if m == 1 {
+            return Ok(Matrix::from_vec(self.dim, 1, self.solve(b.as_slice())?));
+        }
         let mut y = b.clone();
         let mut acc = vec![0.0; m];
         for (k, &(p, _, _)) in self.pivots.iter().enumerate() {
@@ -560,12 +795,27 @@ impl SparseLu {
             }
         }
         let mut x = Matrix::zeros(self.dim, m);
-        if let Some(core) = &self.core {
-            let rhs = Matrix::from_fn(self.core_rows.len(), m, |t, c| y[(self.core_rows[t], c)]);
-            let xc = core.solve_matrix(&rhs)?;
-            for (t, &j) in self.core_cols.iter().enumerate() {
-                x.row_mut(j).copy_from_slice(xc.row(t));
+        match &self.core {
+            Some(Core::Dense(lu)) => {
+                let rhs =
+                    Matrix::from_fn(self.core_rows.len(), m, |t, c| y[(self.core_rows[t], c)]);
+                let xc = lu.solve_matrix(&rhs)?;
+                for (t, &j) in self.core_cols.iter().enumerate() {
+                    x.row_mut(j).copy_from_slice(xc.row(t));
+                }
             }
+            // Column by column: the complement is small, and the vector
+            // path keeps every column bit for bit that of `solve`.
+            Some(core) => {
+                for c in 0..m {
+                    let rhs: Vec<f64> = self.core_rows.iter().map(|&i| y[(i, c)]).collect();
+                    let xc = core.solve(self.block.as_ref(), &rhs)?;
+                    for (&j, v) in self.core_cols.iter().zip(xc) {
+                        x[(j, c)] = v;
+                    }
+                }
+            }
+            None => {}
         }
         for (k, &(p, q, piv)) in self.pivots.iter().enumerate().rev() {
             acc.copy_from_slice(y.row(p));
@@ -581,6 +831,12 @@ impl SparseLu {
         }
         Ok(x)
     }
+}
+
+/// Heap bytes of `v`'s buffer.
+#[cfg(test)]
+pub(crate) fn bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 #[cfg(test)]

@@ -27,6 +27,9 @@ use crate::netlist::{Circuit, CurrentSourceId, Node, OpampModel, VoltageSourceId
 /// Unit conductance used for the analog inverters' input/feedback pair.
 pub const INVERTER_CONDUCTANCE: f64 = 100e-6;
 
+/// Leak from each PINV column sense node to ground.
+const SENSE_LEAK: f64 = 1e-9;
+
 fn check_pair(g_pos: &Matrix, g_neg: &Matrix) -> Result<(usize, usize), CircuitError> {
     if g_pos.shape() != g_neg.shape() {
         return Err(CircuitError::InvalidArgument(
@@ -159,6 +162,28 @@ pub fn build_inv(
     Ok(InvTopology { circuit: c, input_sources, x_nodes })
 }
 
+/// The conductance of every element [`build_inv`] wires, in the order it
+/// wires them: each inverter's input and feedback, then the crossbar row
+/// by row, positive and negative cell of each column in turn. With them,
+/// [`DcOperator::refactor_conductances`] refactors an INV circuit for a
+/// new read of the pair without building it.
+///
+/// [`DcOperator::refactor_conductances`]: crate::DcOperator::refactor_conductances
+pub fn inv_conductances(g_pos: &Matrix, g_neg: &Matrix) -> Vec<f64> {
+    let mut g = Vec::with_capacity(2 * (g_pos.cols() + g_pos.as_slice().len()));
+    g.resize(2 * g_pos.cols(), INVERTER_CONDUCTANCE);
+    push_cells(&mut g, g_pos.as_slice(), g_neg.as_slice());
+    g
+}
+
+/// Appends the positive and negative cell of each position in turn.
+fn push_cells(g: &mut Vec<f64>, g_pos: &[f64], g_neg: &[f64]) {
+    for (&p, &n) in g_pos.iter().zip(g_neg) {
+        g.push(p);
+        g.push(n);
+    }
+}
+
 /// PINV topology: one-step least-squares solver (ref. \[5\], Wang et al. 2023).
 #[derive(Debug, Clone)]
 pub struct PinvTopology {
@@ -237,9 +262,37 @@ pub fn build_pinv(
         }
         // Sense node needs a DC path to ground for a well-posed solve when
         // op-amps are ideal (input currents are zero anyway).
-        c.conductance(col_sense[j], Circuit::GROUND, 1e-9);
+        c.conductance(col_sense[j], Circuit::GROUND, SENSE_LEAK);
     }
     Ok(PinvTopology { circuit: c, input_sources, x_nodes, y_nodes, g_f })
+}
+
+/// The conductance of every element [`build_pinv`] wires with feedback
+/// `g_f`, in the order it wires them: the solution inverters; each row's
+/// stage-1 cells, positive and negative of each column in turn, then its
+/// TIA feedback; the residual inverters; each column's stage-2 cells,
+/// positive and negative of each row in turn, then its sense node's leak.
+/// With them, [`DcOperator::refactor_conductances`] refactors a PINV
+/// circuit for a new read of the pair without building it.
+///
+/// [`DcOperator::refactor_conductances`]: crate::DcOperator::refactor_conductances
+pub fn pinv_conductances(g_pos: &Matrix, g_neg: &Matrix, g_f: f64) -> Vec<f64> {
+    let (rows, cols) = g_pos.shape();
+    let mut g = Vec::with_capacity(4 * rows * cols + 3 * (rows + cols));
+    g.resize(2 * cols, INVERTER_CONDUCTANCE);
+    for i in 0..rows {
+        push_cells(&mut g, g_pos.row(i), g_neg.row(i));
+        g.push(g_f);
+    }
+    g.resize(g.len() + 2 * rows, INVERTER_CONDUCTANCE);
+    for j in 0..cols {
+        for i in 0..rows {
+            g.push(g_pos[(i, j)]);
+            g.push(g_neg[(i, j)]);
+        }
+        g.push(SENSE_LEAK);
+    }
+    g
 }
 
 /// EGV topology: dominant-eigenvector feedback loop.
@@ -484,6 +537,19 @@ mod tests {
         let tr = transient_solve(&t.circuit, &seed, &cfg).unwrap();
         let x = tr.voltages(&t.x_nodes);
         assert!(gramc_linalg::vector::norm2(&x) < 1e-4, "loop should decay when λ̂ > λ₁: {x:?}");
+    }
+
+    #[test]
+    fn conductance_orders_match_the_builders() {
+        let a = Matrix::from_fn(5, 3, |i, j| ((i * 3 + j) as f64 * 0.7).sin());
+        let (gp, gn) = split(&a, UNIT, FLOOR);
+        let wired = |c: &Circuit| c.conductances.iter().map(|e| e.g).collect::<Vec<_>>();
+        let t = build_pinv(&gp, &gn, &[0.0; 5], 2.5 * UNIT, OpampModel::ideal()).unwrap();
+        assert_eq!(pinv_conductances(&gp, &gn, 2.5 * UNIT), wired(&t.circuit));
+        let sq = Matrix::from_fn(4, 4, |i, j| ((i * 4 + j) as f64 * 0.9).cos());
+        let (gp, gn) = split(&sq, UNIT, FLOOR);
+        let t = build_inv(&gp, &gn, &[0.0; 4], OpampModel::ideal()).unwrap();
+        assert_eq!(inv_conductances(&gp, &gn), wired(&t.circuit));
     }
 
     #[test]

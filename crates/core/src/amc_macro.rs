@@ -217,10 +217,69 @@ struct Operator {
     /// i.e. quantized to multiples of the level step).
     g_f: f64,
     /// Factorization of the last INV or PINV circuit solved on this
-    /// operator, with its mode; the next solve in that mode refactors it
-    /// (only the read noise differs).
-    dc: Option<(MacroMode, DcOperator)>,
+    /// operator; the next solve in that mode refactors it (only the read
+    /// noise differs).
+    resident: Option<Resident>,
     freed: bool,
+}
+
+/// A factored INV or PINV circuit and what its solves need once the
+/// netlist is gone.
+#[derive(Debug, Clone)]
+struct Resident {
+    mode: MacroMode,
+    dc: DcOperator,
+    /// MNA row of the node each injection source drives.
+    input_rows: Vec<usize>,
+    /// MNA row of each solution node.
+    x_rows: Vec<usize>,
+    /// The RHS with no injection: the op-amp offset terms.
+    offset_rhs: Vec<f64>,
+}
+
+impl Resident {
+    /// Builds the `mode` circuit around a read of the pair, with op-amp `k`
+    /// offset by `offset(k)`, and factors it afresh. `g_f` is the PINV
+    /// stage-1 feedback.
+    fn new(
+        mode: MacroMode,
+        (g_pos, g_neg): (&Matrix, &Matrix),
+        g_f: f64,
+        model: OpampModel,
+        offset: impl Fn(usize) -> f64,
+    ) -> Result<Self, CoreError> {
+        // The injections enter per column through the RHS, so the circuit
+        // builds with none.
+        let zeros = vec![0.0; g_pos.rows()];
+        let (mut circuit, input_sources, x_nodes) = if mode == MacroMode::Inv {
+            let t = topology::build_inv(g_pos, g_neg, &zeros, model)?;
+            (t.circuit, t.input_sources, t.x_nodes)
+        } else {
+            let t = topology::build_pinv(g_pos, g_neg, &zeros, g_f, model)?;
+            (t.circuit, t.input_sources, t.x_nodes)
+        };
+        for (k, opamp) in circuit.opamp_ids().into_iter().enumerate() {
+            let m = circuit.opamp_model(opamp);
+            circuit.set_opamp_model(opamp, m.offset(offset(k)));
+        }
+        let dc = DcOperator::new(&circuit)?;
+        let offset_rhs = dc.rhs(&circuit)?;
+        // Sources inject from ground; solution nodes are never ground.
+        let input_rows =
+            input_sources.iter().map(|&s| circuit.current_source_nodes(s).1.index() - 1).collect();
+        let x_rows = x_nodes.iter().map(|n| n.index() - 1).collect();
+        Ok(Self { mode, dc, input_rows, x_rows, offset_rhs })
+    }
+
+    /// Refactors for a new read of the pair, gathered straight into the
+    /// recorded factorization; `false` where only a fresh one is exact.
+    fn refactor(&mut self, (g_pos, g_neg): (&Matrix, &Matrix), g_f: f64) -> bool {
+        if self.mode == MacroMode::Inv {
+            self.dc.refactor_conductances(&topology::inv_conductances(g_pos, g_neg))
+        } else {
+            self.dc.refactor_conductances(&topology::pinv_conductances(g_pos, g_neg, g_f))
+        }
+    }
 }
 
 /// Result of an EGV solve.
@@ -355,7 +414,7 @@ impl MacroGroup {
             return Err(CoreError::InvalidOperator);
         }
         op.freed = true;
-        op.dc = None;
+        op.resident = None;
         let macro_ids: Vec<usize> = op.planes.iter().map(|p| p.macro_id).collect();
         for mid in macro_ids {
             self.macros[mid].owner = None;
@@ -466,7 +525,14 @@ impl MacroGroup {
             quantized,
             program,
         };
-        self.operators.push(Operator { info, planes, row_g_sum, g_f, dc: None, freed: false });
+        self.operators.push(Operator {
+            info,
+            planes,
+            row_g_sum,
+            g_f,
+            resident: None,
+            freed: false,
+        });
         Ok(OperatorId(op_index))
     }
 
@@ -513,7 +579,14 @@ impl MacroGroup {
             quantized: sliced.dequantize(),
             program,
         };
-        self.operators.push(Operator { info, planes, row_g_sum, g_f, dc: None, freed: false });
+        self.operators.push(Operator {
+            info,
+            planes,
+            row_g_sum,
+            g_f,
+            resident: None,
+            freed: false,
+        });
         Ok(OperatorId(op_index))
     }
 
@@ -681,11 +754,11 @@ impl MacroGroup {
     /// directly (no per-vector `Vec`s on either side); the slice-based
     /// `mvm_batch` is a thin wrapper around it.
     ///
-    /// The per-plane products run through
-    /// [`parallel::map_collect`](gramc_linalg::parallel::map_collect), one
-    /// scoped thread per plane, each plane's `matmul` capped to its share of
-    /// the thread budget — plane results are combined in plane order, so the
-    /// output does not depend on the thread count.
+    /// The 2 or 4 plane products run one after another, each through the
+    /// blocked `matmul`, which splits its own rows over the thread budget;
+    /// a thread per plane cost more to spawn than these products take.
+    /// Plane results are combined in plane order, so the output does not
+    /// depend on the thread count.
     ///
     /// # Errors
     ///
@@ -748,11 +821,7 @@ impl MacroGroup {
         self.telemetry.add_settle_events(driven * nplanes as u64);
         self.telemetry.add_read_cycles_mvm(driven * (nplanes * rows * cols) as u64);
         self.telemetry.add_adc_conversions(driven * (rows * (nplanes / 2)) as u64);
-        // Plane drives are independent analog events: fan them out over
-        // scoped threads (serial and in order when the `parallel` feature is
-        // off or only one core is available — same results either way).
-        let currents: Vec<Matrix> =
-            gramc_linalg::parallel::map_collect(&gs_t, |g_t| v_mat.matmul(g_t));
+        let currents: Vec<Matrix> = gs_t.iter().map(|g_t| v_mat.matmul(g_t)).collect();
         let mut out = Matrix::zeros(bsz, rows);
         for (b, &x_max) in x_maxes.iter().enumerate() {
             if x_max == 0.0 {
@@ -847,6 +916,10 @@ impl MacroGroup {
     /// ([`DcOperator::solve_rhs_matrix`]), so `k` right-hand sides cost one
     /// factorization plus `k` substitutions instead of `k` full solves.
     ///
+    /// Only an operator's first solve in this mode builds the netlist; later
+    /// ones gather their read straight into the kept factorization
+    /// ([`DcOperator::refactor_conductances`]).
+    ///
     /// Auto-ranging (the Fig. 3 verify/flag path) runs per column: a column
     /// whose output rails the ADC halves its injection scale α (volts of
     /// output per matrix unit of x; `I_in = −(step/scale)·α·b`) and
@@ -892,7 +965,8 @@ impl MacroGroup {
     /// conductance read and one MNA factorization
     /// ([`DcOperator::solve_rhs_matrix`]); auto-ranging runs per column with
     /// railed columns re-substituted together on the next attempt, so `k`
-    /// right-hand sides cost one factorization plus `k` substitutions.
+    /// right-hand sides cost one factorization plus `k` substitutions. As
+    /// for INV, only the first solve in this mode builds the netlist.
     ///
     /// # Errors
     ///
@@ -915,10 +989,14 @@ impl MacroGroup {
     /// The shared body of the INV and PINV batch solves (`mode` picks the
     /// feedback circuit): one noisy conductance read, one factorization of
     /// the circuit, then ranged multi-RHS substitution of every column.
-    /// The factorization is kept with the operator, and the next solve in
-    /// the same mode refactors it for its own read
-    /// ([`DcOperator::refactor`]); a solve in the other mode factors
-    /// afresh.
+    ///
+    /// The netlist is built only for a fresh factorization: the first
+    /// solve, one in the other mode, or a read the recorded one cannot take
+    /// (a zero conductance). The factorization is kept with the operator,
+    /// with the injection rows, solution rows and op-amp offset RHS of its
+    /// circuit, and the next solve in the same mode gathers its own read
+    /// straight into it ([`DcOperator::refactor_conductances`]) and builds
+    /// every RHS from those. A single column substitutes as a vector.
     fn ranged_solve_batch(
         &mut self,
         id: OperatorId,
@@ -983,30 +1061,19 @@ impl MacroGroup {
             .array
             .conductances(planes[1].region, &mut self.rng)
             .map_err(CoreError::from)?;
-        let model = self.opamp_model();
-
-        // The source currents are overwritten per column before each
-        // substitution, so the circuit builds with a zero injection.
-        let zeros = vec![0.0; rows];
-        let (mut circuit, input_sources, x_nodes) = if mode == MacroMode::Inv {
-            let t = topology::build_inv(&g_pos, &g_neg, &zeros, model)?;
-            (t.circuit, t.input_sources, t.x_nodes)
-        } else {
-            let g_f = c.clamp(self.quantizer.g_min(), self.quantizer.g_max());
-            let t = topology::build_pinv(&g_pos, &g_neg, &zeros, g_f, model)?;
-            (t.circuit, t.input_sources, t.x_nodes)
-        };
-        for (k, opamp) in circuit.opamp_ids().into_iter().enumerate() {
-            let m = circuit.opamp_model(opamp);
-            let off = self.macros[planes[0].macro_id].opamp_offset(k);
-            circuit.set_opamp_model(opamp, m.offset(off));
-        }
-        let dc_op = match self.operators[id.0].dc.take() {
-            Some((kept, mut dc)) if kept == mode => {
-                dc.refactor(&circuit)?;
-                dc
+        let g_f = c.clamp(self.quantizer.g_min(), self.quantizer.g_max());
+        let read = (&g_pos, &g_neg);
+        let replayed = self.operators[id.0]
+            .resident
+            .take()
+            .filter(|r| r.mode == mode)
+            .and_then(|mut r| r.refactor(read, g_f).then_some(r));
+        let resident = match replayed {
+            Some(r) => r,
+            None => {
+                let bank = &self.macros[planes[0].macro_id];
+                Resident::new(mode, read, g_f, self.opamp_model(), |k| bank.opamp_offset(k))?
             }
-            _ => DcOperator::new(&circuit)?,
         };
 
         // Ranged multi-RHS substitution: all still-railing columns stack
@@ -1019,28 +1086,19 @@ impl MacroGroup {
             // still-active column, biasing both planes of the region.
             self.telemetry.add_solve_settles(active.len() as u64);
             self.telemetry.add_read_cycles_solve((active.len() * 2 * rows * cols) as u64);
-            let mut rhs = Matrix::zeros(dc_op.dim(), active.len());
+            let mut rhs = Matrix::zeros(resident.dc.dim(), active.len());
             for (k, &ci) in active.iter().enumerate() {
-                for (&src, &qb) in input_sources.iter().zip(&quantized[ci]) {
-                    circuit.set_current(src, -c * alphas[ci] * b_maxes[ci] * qb);
+                for (i, &v) in resident.offset_rhs.iter().enumerate() {
+                    rhs[(i, k)] = v;
                 }
-                let col = dc_op.rhs(&circuit)?;
-                for (i, v) in col.iter().enumerate() {
-                    rhs[(i, k)] = *v;
+                for (&row, &qb) in resident.input_rows.iter().zip(&quantized[ci]) {
+                    rhs[(row, k)] += -c * alphas[ci] * b_maxes[ci] * qb;
                 }
             }
-            let sol = dc_op.solve_rhs_matrix(&rhs)?;
+            let sol = resident.dc.solve_rhs_matrix(&rhs)?;
             let mut railed = Vec::new();
             for (k, &ci) in active.iter().enumerate() {
-                // Raw MNA columns: node voltages occupy the leading rows,
-                // ground (index 0) is implicit.
-                let volts: Vec<f64> = x_nodes
-                    .iter()
-                    .map(|node| match node.index() {
-                        0 => 0.0,
-                        i => sol[(i - 1, k)],
-                    })
-                    .collect();
+                let volts: Vec<f64> = resident.x_rows.iter().map(|&r| sol[(r, k)]).collect();
                 let peak = volts.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
                 if peak > 0.95 * adc.v_ref() {
                     alphas[ci] *= 0.5;
@@ -1057,7 +1115,7 @@ impl MacroGroup {
             }
             active = railed;
         }
-        self.operators[id.0].dc = Some((mode, dc_op));
+        self.operators[id.0].resident = Some(resident);
         if !active.is_empty() {
             return Err(CoreError::InvalidArgument(if mode == MacroMode::Inv {
                 "INV output railed the ADC at every ranging attempt"
@@ -1582,11 +1640,11 @@ mod tests {
     #[test]
     fn mvm_batch_rows_matches_vec_batch_and_is_thread_count_invariant() {
         // The Matrix-batch entry point is the implementation the Vec-batch
-        // wrapper delegates to, and its per-plane map_collect fan-out must
-        // not change results with the thread budget — including on a
-        // 4-plane bit-sliced operator where the plane loop actually fans
-        // out. Noise-free config keeps every call deterministic; bit
-        // slicing needs 4-bit cells, so use the quantization-only config.
+        // wrapper delegates to, and its plane products must not change
+        // results with the thread budget their `matmul` splits rows over —
+        // here on a 4-plane bit-sliced operator. Noise-free config keeps
+        // every call deterministic; bit slicing needs 4-bit cells, so use
+        // the quantization-only config.
         let cfg = MacroConfig {
             nonideal: NonidealityConfig::quantization_only(4),
             ..MacroConfig::small(6)

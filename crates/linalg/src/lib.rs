@@ -38,10 +38,10 @@
 //!    the [`parallel`] helpers; column ownership makes every f64 touched
 //!    by exactly one thread, so the factors match the serial oracle
 //!    ([`LuDecomposition::new_unblocked`]) bitwise at any thread count.
-//! 3. **Plane-parallel analog dispatch** (`gramc-core`): the per-plane
-//!    drive-matrix products of a bit-sliced operator run through
-//!    [`parallel::map_collect`], which preserves output order — thread
-//!    count cannot change results.
+//! 3. **In-order plane dispatch** (`gramc-core`): the 2 or 4 per-plane
+//!    drive-matrix products of an operator run one after another, each
+//!    splitting its rows over threads inside [`Matrix::matmul`]; a thread
+//!    per plane cost more to spawn than the products take.
 //! 4. **Fused streaming inference** (`gramc-nn`): im2col writes straight
 //!    into reusable whole-batch drive matrices; bias + ReLU + pooling fuse
 //!    into the decode pass. Zero per-image heap allocation at steady

@@ -55,7 +55,7 @@ pub fn current_max_threads() -> usize {
 ///
 /// Two users: benches measure the serial behavior of a parallel kernel in the
 /// same process (`with_thread_cap(1, …)`), and nested parallelism — e.g. a
-/// plane-level [`map_collect`] whose items each call a threaded `matmul` —
+/// [`map_collect`] whose items each call a threaded `matmul` —
 /// divides the budget between levels instead of oversubscribing the host.
 /// The cap is thread-local and restored on exit (including on panic).
 pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
