@@ -95,8 +95,8 @@ enum OpampStamping {
 /// A replay touches no netlist: it gathers one value per conductance into
 /// the recorded slots, redoes the recorded sparse arithmetic and factors
 /// the core again (a 32-unknown dense block for a 32×32 INV, a 64-pivot
-/// Schur step plus a 32-unknown block for a 64×32 PINV). A one-column
-/// solve substitutes a vector.
+/// Schur step plus a 32-unknown block for a 64×32 PINV). Each right-hand
+/// side then substitutes as a vector.
 ///
 /// The factorization captures the circuit *topology and element values that
 /// enter the matrix*: conductances, source/op-amp connectivity and op-amp
@@ -608,12 +608,8 @@ impl DcOperator {
 
     /// Multi-RHS solve: each column of `rhs` is one excitation, each column
     /// of the result is the corresponding raw MNA solution vector. All
-    /// columns share the factorization and substitute together (a dense
-    /// core through [`LuDecomposition::solve_matrix`], a Schur-reduced one
-    /// column by column); a single column substitutes as a vector. Every
-    /// column matches [`solve_rhs`](Self::solve_rhs) bit for bit.
-    ///
-    /// [`LuDecomposition::solve_matrix`]: gramc_linalg::LuDecomposition::solve_matrix
+    /// columns share the factorization; each substitutes as a vector, so
+    /// every column matches [`solve_rhs`](Self::solve_rhs) bit for bit.
     ///
     /// # Errors
     ///
@@ -1269,7 +1265,9 @@ mod tests {
         let inv = topology::build_inv(&gp, &gn, &[1e-6; 32], model).unwrap().circuit;
         let (gp, gn) = pair(&gramc_linalg::random::gaussian_matrix(&mut rng, 64, 32));
         let pinv = topology::build_pinv(&gp, &gn, &[1e-6; 64], 50e-6, model).unwrap().circuit;
-        for (what, circuit, limit) in [("INV 32×32", inv, 210_000), ("PINV 64×32", pinv, 880_000)]
+        // Just above the measured 159,636 and 632,980 B, so a growth of a
+        // few percent in the factors, plan or gather fails.
+        for (what, circuit, limit) in [("INV 32×32", inv, 170_000), ("PINV 64×32", pinv, 650_000)]
         {
             let mut op = DcOperator::new(&circuit).unwrap();
             // A replay allocates the plan's work array: count it.

@@ -770,9 +770,7 @@ impl SparseLu {
         Ok(x)
     }
 
-    /// Solves `A·X = B` for every column of `B`, matching [`solve`]
-    /// column for column. A single column goes through [`solve`] itself,
-    /// which substitutes a vector rather than one-column matrix rows.
+    /// Solves `A·X = B` column by column through [`solve`].
     ///
     /// # Errors
     ///
@@ -780,54 +778,11 @@ impl SparseLu {
     ///
     /// [`solve`]: Self::solve
     pub(crate) fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        let m = b.cols();
-        if m == 1 {
-            return Ok(Matrix::from_vec(self.dim, 1, self.solve(b.as_slice())?));
-        }
-        let mut y = b.clone();
-        let mut acc = vec![0.0; m];
-        for (k, &(p, _, _)) in self.pivots.iter().enumerate() {
-            acc.copy_from_slice(y.row(p));
-            for l in self.lower(k) {
-                for (v, &a) in y.row_mut(l.index as usize).iter_mut().zip(&acc) {
-                    *v -= l.value * a;
-                }
+        let mut x = Matrix::zeros(self.dim, b.cols());
+        for c in 0..b.cols() {
+            for (i, v) in self.solve(&b.col(c))?.into_iter().enumerate() {
+                x[(i, c)] = v;
             }
-        }
-        let mut x = Matrix::zeros(self.dim, m);
-        match &self.core {
-            Some(Core::Dense(lu)) => {
-                let rhs =
-                    Matrix::from_fn(self.core_rows.len(), m, |t, c| y[(self.core_rows[t], c)]);
-                let xc = lu.solve_matrix(&rhs)?;
-                for (t, &j) in self.core_cols.iter().enumerate() {
-                    x.row_mut(j).copy_from_slice(xc.row(t));
-                }
-            }
-            // Column by column: the complement is small, and the vector
-            // path keeps every column bit for bit that of `solve`.
-            Some(core) => {
-                for c in 0..m {
-                    let rhs: Vec<f64> = self.core_rows.iter().map(|&i| y[(i, c)]).collect();
-                    let xc = core.solve(self.block.as_ref(), &rhs)?;
-                    for (&j, v) in self.core_cols.iter().zip(xc) {
-                        x[(j, c)] = v;
-                    }
-                }
-            }
-            None => {}
-        }
-        for (k, &(p, q, piv)) in self.pivots.iter().enumerate().rev() {
-            acc.copy_from_slice(y.row(p));
-            for u in self.upper(k) {
-                for (a, &v) in acc.iter_mut().zip(x.row(u.index as usize)) {
-                    *a -= u.value * v;
-                }
-            }
-            for a in acc.iter_mut() {
-                *a /= piv;
-            }
-            x.row_mut(q).copy_from_slice(&acc);
         }
         Ok(x)
     }

@@ -120,8 +120,8 @@ impl AlgebraicNetwork {
     }
 
     /// Batched homogeneous responses: column `j` of the result holds the
-    /// node voltages (ground included, row 0) for unit state `e_j`. One
-    /// multi-RHS substitution replaces `nop` sequential solves.
+    /// node voltages (ground included, row 0) for unit state `e_j`: `nop`
+    /// substitutions through one factorization.
     fn solve_homogeneous_units(&self, nop: usize) -> Result<Matrix, CircuitError> {
         let dim = self.op.dim();
         let state_row0 = dim - nop; // op-amp rows are the trailing block

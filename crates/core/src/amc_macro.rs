@@ -996,7 +996,7 @@ impl MacroGroup {
     /// with the injection rows, solution rows and op-amp offset RHS of its
     /// circuit, and the next solve in the same mode gathers its own read
     /// straight into it ([`DcOperator::refactor_conductances`]) and builds
-    /// every RHS from those. A single column substitutes as a vector.
+    /// every RHS from those.
     fn ranged_solve_batch(
         &mut self,
         id: OperatorId,
