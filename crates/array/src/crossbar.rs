@@ -106,16 +106,15 @@ impl ActiveRegion {
 }
 
 /// One cached effective-conductance snapshot (see
-/// [`CrossbarArray::effective_conductances`]). The squared and transposed
-/// variants feed the batched MVM kernels and are derived lazily.
+/// [`CrossbarArray::effective_conductances`]).
 #[derive(Debug)]
 struct Snapshot {
     region: ActiveRegion,
     g: Matrix,
-    /// `gᵀ` (lazily built; shared by reference with
-    /// [`CrossbarArray::row_currents_batch`] and
-    /// [`CrossbarArray::transposed_effective_conductances`]).
-    g_t: Option<Arc<Matrix>>,
+    /// `gᵀ`, built on the first [`CrossbarArray::row_currents_batch`] of
+    /// the generation, its only reader. (A macro group packs the planes of
+    /// its batched MVMs itself; see `gramc_core::MacroGroup::mvm_batch_rows`.)
+    g_t: Option<Matrix>,
 }
 
 /// Region-keyed snapshot cache, valid for one array generation.
@@ -544,24 +543,6 @@ impl CrossbarArray {
         self.with_snapshot(region, |snap| snap.g.clone())
     }
 
-    /// Transposed effective conductances of a region, shared by reference
-    /// from the generation-tagged snapshot cache — the zero-copy feed of
-    /// the batched MVM kernels. Only valid for noise-free reads (noisy
-    /// reads model a fresh sample per call, so their noise is never
-    /// cached).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::RegionOutOfBounds`] for invalid regions.
-    pub fn transposed_effective_conductances(
-        &self,
-        region: ActiveRegion,
-    ) -> Result<Arc<Matrix>, ArrayError> {
-        self.with_snapshot(region, |snap| {
-            snap.g_t.get_or_insert_with(|| Arc::new(snap.g.transpose())).clone()
-        })
-    }
-
     /// One noisy effective-conductance read: per-cell read noise plus the
     /// IR-drop correction of [`effective_conductances`](Self::effective_conductances).
     /// Each call is a fresh sample (see [`conductances`](Self::conductances)).
@@ -703,8 +684,8 @@ impl CrossbarArray {
         let sigma = self.config.noise.read_rel_sigma;
         self.with_snapshot(region, |snap| {
             // Y = V · Gᵀ, with Gᵀ cached alongside the snapshot.
-            let g_t = snap.g_t.get_or_insert_with(|| Arc::new(snap.g.transpose())).clone();
-            let mut out = v_batch.matmul(&g_t);
+            let g_t = snap.g_t.get_or_insert_with(|| snap.g.transpose());
+            let mut out = v_batch.matmul(g_t);
             if sigma > 0.0 {
                 // var_bi = Σ_j (G_ij·v_bj)² — accumulated term-by-term in
                 // the scalar path's order so the noise scale (and hence the

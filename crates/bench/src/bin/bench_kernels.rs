@@ -588,6 +588,8 @@ fn main() {
         xs.iter().map(|x| group.mvm(op, x).unwrap()).collect::<Vec<_>>()
     });
     r.bench("macro_mvm_batch_32x64", || group.mvm_batch(op, &xs).unwrap());
+    // The served shape: `serve_mvm` coalesces about 3 requests per dispatch.
+    r.bench("macro_mvm_batch_3x64", || group.mvm_batch(op, &xs[..3]).unwrap());
 
     // ── a bit-sliced INT8 operator (4 planes) driven through the
     //    row-batched MVM on one thread.

@@ -24,7 +24,7 @@ use gramc_array::{
 };
 use gramc_circuit::{dc_solve, topology, DcOperator, OpampModel};
 use gramc_device::{CellNoise, FaultConfig, FaultPlan, LevelQuantizer};
-use gramc_linalg::{power_iteration, random, vector, Matrix};
+use gramc_linalg::{power_iteration, random, vector, Matrix, PackedRhs};
 use gramc_telemetry::{HwCounters, HwSnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -209,9 +209,11 @@ struct Operator {
     info: OperatorInfo,
     /// Differential planes: `[pos, neg]` or `[hi_pos, hi_neg, lo_pos, lo_neg]`.
     planes: Vec<PlaneRef>,
-    /// Total programmed conductance per row across all planes — sets each
-    /// TIA's offset noise gain `1 + ΣG_row/g_f` (cached at load time).
-    row_g_sum: Vec<f64>,
+    /// Each row's TIA offset as it reaches the output: the op-amp's
+    /// input-referred offset times its noise gain `1 + ΣG_row/g_f`, with
+    /// `ΣG_row` the row's programmed conductance across all planes (fixed
+    /// at load time).
+    output_offsets: Vec<f64>,
     /// TIA feedback conductance chosen at load time so the worst-case row
     /// current stays inside the ADC range (realized as parallel RRAM cells,
     /// i.e. quantized to multiples of the level step).
@@ -220,7 +222,20 @@ struct Operator {
     /// operator; the next solve in that mode refactors it (only the read
     /// noise differs).
     resident: Option<Resident>,
+    /// The noise-free planes packed for batched MVMs (see
+    /// [`MacroGroup::mvm_batch_rows`]).
+    panel: Option<PlanePanel>,
     freed: bool,
+}
+
+/// An operator's noise-free planes packed as one right-hand panel
+/// `[G₀ᵀ | G₁ᵀ | …]`, valid while every plane's array is at the generation
+/// it was read at.
+#[derive(Debug, Clone)]
+struct PlanePanel {
+    /// Generation of each plane's array at the read, in plane order.
+    generations: Vec<u64>,
+    packed: PackedRhs,
 }
 
 /// A factored INV or PINV circuit and what its solves need once the
@@ -415,6 +430,7 @@ impl MacroGroup {
         }
         op.freed = true;
         op.resident = None;
+        op.panel = None;
         let macro_ids: Vec<usize> = op.planes.iter().map(|p| p.macro_id).collect();
         for mid in macro_ids {
             self.macros[mid].owner = None;
@@ -511,12 +527,12 @@ impl MacroGroup {
         let op_index = self.operators.len();
         let (planes, program) =
             self.place_planes(a.rows(), a.cols(), &[&mapped.positive, &neg], op_index)?;
-        let row_g_sum = self.row_conductance_sums(&planes, a.rows())?;
         let quantized = mapped.dequantize();
         let max_row_levels = (0..a.rows())
             .map(|i| quantized.row(i).iter().map(|v| (v / mapped.scale).abs()).sum::<f64>())
             .fold(0.0_f64, f64::max);
         let g_f = self.feedback_conductance(max_row_levels);
+        let output_offsets = self.output_offsets(&planes, a.rows(), g_f)?;
         let info = OperatorInfo {
             rows: a.rows(),
             cols: a.cols(),
@@ -528,9 +544,10 @@ impl MacroGroup {
         self.operators.push(Operator {
             info,
             planes,
-            row_g_sum,
+            output_offsets,
             g_f,
             resident: None,
+            panel: None,
             freed: false,
         });
         Ok(OperatorId(op_index))
@@ -556,7 +573,6 @@ impl MacroGroup {
             &[&sliced.hi_pos, &sliced.hi_neg, &sliced.lo_pos, &sliced.lo_neg],
             op_index,
         )?;
-        let row_g_sum = self.row_conductance_sums(&planes, a.rows())?;
         // Worst-case per-nibble-plane row current (hi and lo planes each see
         // at most 15 levels per cell).
         let max_row_levels = (0..a.rows())
@@ -571,6 +587,7 @@ impl MacroGroup {
             })
             .fold(0.0_f64, f64::max);
         let g_f = self.feedback_conductance(max_row_levels);
+        let output_offsets = self.output_offsets(&planes, a.rows(), g_f)?;
         let info = OperatorInfo {
             rows: a.rows(),
             cols: a.cols(),
@@ -582,9 +599,10 @@ impl MacroGroup {
         self.operators.push(Operator {
             info,
             planes,
-            row_g_sum,
+            output_offsets,
             g_f,
             resident: None,
+            panel: None,
             freed: false,
         });
         Ok(OperatorId(op_index))
@@ -616,10 +634,13 @@ impl MacroGroup {
         steps * self.quantizer.step()
     }
 
-    fn row_conductance_sums(
+    /// Each row's TIA offset at the output (see `Operator::output_offsets`);
+    /// the op-amps are those of the first plane's macro.
+    fn output_offsets(
         &self,
         planes: &[PlaneRef],
         rows: usize,
+        g_f: f64,
     ) -> Result<Vec<f64>, CoreError> {
         let mut sums = vec![0.0; rows];
         for p in planes {
@@ -631,7 +652,8 @@ impl MacroGroup {
                 *s += g.row(i).iter().sum::<f64>();
             }
         }
-        Ok(sums)
+        let bank = &self.macros[planes[0].macro_id];
+        Ok(sums.iter().enumerate().map(|(i, s)| bank.opamp_offset(i) * (1.0 + s / g_f)).collect())
     }
 
     fn opamp_model(&self) -> OpampModel {
@@ -688,7 +710,6 @@ impl MacroGroup {
         // TIA feedback sized at load time for the worst-case row current.
         let op_ref = self.operator(id)?;
         let g_f = op_ref.g_f;
-        let row_g_sum = op_ref.row_g_sum.clone();
         let adc = self.macros[planes[0].macro_id].adc;
         let conv = self.current_decode(scale, v_scale);
         let mut y = Vec::with_capacity(rows);
@@ -697,12 +718,10 @@ impl MacroGroup {
             // nibble shift-add (×16) happens digitally AFTER conversion —
             // an analog ×16 would blow past the converter rails, which is
             // the entire reason bit slicing recombines digitally.
-            let offset = self.macros[planes[0].macro_id].opamp_offset(i);
-            let noise_gain = 1.0 + row_g_sum[i] / g_f;
             let mut pair_values = Vec::with_capacity(nplanes / 2);
             for pair in 0..nplanes / 2 {
                 let i_diff = currents[2 * pair][i] - currents[2 * pair + 1][i];
-                let v_out = -i_diff / g_f + offset * noise_gain;
+                let v_out = -i_diff / g_f + op_ref.output_offsets[i];
                 pair_values.push(adc.convert(v_out) * adc.v_ref());
             }
             let v_combined = match nplanes {
@@ -754,11 +773,17 @@ impl MacroGroup {
     /// directly (no per-vector `Vec`s on either side); the slice-based
     /// `mvm_batch` is a thin wrapper around it.
     ///
-    /// The 2 or 4 plane products run one after another, each through the
-    /// blocked `matmul`, which splits its own rows over the thread budget;
-    /// a thread per plane cost more to spawn than these products take.
-    /// Plane results are combined in plane order, so the output does not
-    /// depend on the thread count.
+    /// All 2 or 4 planes share the DAC drive, so the batch runs as one
+    /// product `V · [G₀ᵀ | G₁ᵀ | …]` against the operator's planes packed
+    /// side by side ([`PackedRhs`]); row `b` of it holds every plane's
+    /// currents for input `b` in adjacent column blocks, which the
+    /// differential decode pairs up. Noise-free reads keep that panel with
+    /// the operator, tagged with the generation of each plane's array, and
+    /// rebuild it only after one of those arrays changed; a read noise
+    /// sample is fresh per call and packed the same way. The product splits
+    /// its rows over the thread budget and sums every output element in the
+    /// same order at any thread count. A batch of all-zero inputs returns
+    /// zeros without reading the arrays.
     ///
     /// # Errors
     ///
@@ -768,37 +793,15 @@ impl MacroGroup {
         let op = self.operator(id)?;
         let (rows, cols, scale, nplanes) =
             (op.info.rows, op.info.cols, op.info.scale, op.info.planes);
-        let (planes, g_f, row_g_sum) = (op.planes.clone(), op.g_f, op.row_g_sum.clone());
         if xs.cols() != cols {
             return Err(CoreError::ShapeMismatch { expected: cols, found: xs.cols() });
         }
+        let (planes, g_f) = (op.planes.clone(), op.g_f);
+        let bank = &self.macros[planes[0].macro_id];
+        let (dac, adc) = (bank.dac, bank.adc);
         self.configure_operator(id, MacroMode::Mvm)?;
-        // One conductance read per plane for the whole batch, held
-        // pre-transposed so the whole batch multiplies through the blocked
-        // matmul kernel: I_p = V · G_pᵀ. With read noise each batch samples
-        // a fresh read; noise-free reads share each array's generation-
-        // tagged snapshot by reference (zero copies across calls). Both
-        // paths include the IR-drop correction, like the scalar `mvm`.
-        let noisy = self.config.nonideal.read_noise_rel != 0.0;
-        let mut gs_t: Vec<Arc<Matrix>> = Vec::with_capacity(planes.len());
-        for p in &planes {
-            let array = &self.macros[p.macro_id].array;
-            let g_t = if noisy {
-                Arc::new(
-                    array
-                        .effective_conductances_noisy(p.region, &mut self.rng)
-                        .map_err(CoreError::from)?
-                        .transpose(),
-                )
-            } else {
-                array.transposed_effective_conductances(p.region).map_err(CoreError::from)?
-            };
-            gs_t.push(g_t);
-        }
-        let dac = self.macros[planes[0].macro_id].dac;
-        let adc = self.macros[planes[0].macro_id].adc;
-        // DAC-converted drive matrix, one batch vector per row (all-zero
-        // inputs keep their exact-zero output without touching the arrays).
+        // DAC-converted drive matrix, one batch vector per row; all-zero
+        // inputs keep their exact-zero output.
         let bsz = xs.rows();
         let mut v_mat = Matrix::zeros(bsz, cols);
         let mut x_maxes = vec![0.0; bsz];
@@ -812,44 +815,81 @@ impl MacroGroup {
                 *vj = dac.convert(xi / *x_max);
             }
         }
+        let mut out = Matrix::zeros(bsz, rows);
+        let driven = x_maxes.iter().filter(|&&m| m != 0.0).count() as u64;
+        if driven == 0 {
+            return Ok(out);
+        }
+        // Both reads include the IR-drop correction, like the scalar `mvm`.
+        let currents = if self.config.nonideal.read_noise_rel != 0.0 {
+            let reads = planes
+                .iter()
+                .map(|p| {
+                    let array = &self.macros[p.macro_id].array;
+                    array.effective_conductances_noisy(p.region, &mut self.rng)
+                })
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(CoreError::from)?;
+            PackedRhs::from_transposed(&reads).left_mul(&v_mat)
+        } else {
+            self.plane_panel(id)?.left_mul(&v_mat)
+        };
         // The batch path reads conductances directly (no `row_currents`), so
         // the macro itself accounts for the per-driven-row analog events:
         // each nonzero batch row drives the DACs once, settles every plane,
         // reads every cell of every plane, and converts rows × pairs ADCs.
-        let driven = x_maxes.iter().filter(|&&m| m != 0.0).count() as u64;
         self.telemetry.add_dac_drives(driven * cols as u64);
         self.telemetry.add_settle_events(driven * nplanes as u64);
         self.telemetry.add_read_cycles_mvm(driven * (nplanes * rows * cols) as u64);
         self.telemetry.add_adc_conversions(driven * (rows * (nplanes / 2)) as u64);
-        let currents: Vec<Matrix> = gs_t.iter().map(|g_t| v_mat.matmul(g_t)).collect();
-        let mut out = Matrix::zeros(bsz, rows);
+        let output_offsets = &self.operators[id.0].output_offsets;
         for (b, &x_max) in x_maxes.iter().enumerate() {
             if x_max == 0.0 {
                 continue;
             }
-            let v_scale = self.config.v_read / x_max;
-            let conv = self.current_decode(scale, v_scale);
-            let y = out.row_mut(b);
-            for (i, yi) in y.iter_mut().enumerate() {
-                let offset = self.macros[planes[0].macro_id].opamp_offset(i);
-                let noise_gain = 1.0 + row_g_sum[i] / g_f;
-                // At most two differential pairs (2 or 4 planes): a fixed
-                // array keeps the hot decode loop allocation-free.
-                let mut pair_values = [0.0_f64; 2];
-                for (pair, pv) in pair_values.iter_mut().take(nplanes / 2).enumerate() {
-                    let i_diff = currents[2 * pair][(b, i)] - currents[2 * pair + 1][(b, i)];
-                    let v_out = -i_diff / g_f + offset * noise_gain;
-                    *pv = adc.convert(v_out) * adc.v_ref();
-                }
+            let conv = self.current_decode(scale, self.config.v_read / x_max);
+            let i_b = currents.row(b);
+            // Differential pair `pair`'s ADC reading of output row `i`.
+            let read = |pair: usize, i: usize| {
+                let i_diff = i_b[2 * pair * rows + i] - i_b[(2 * pair + 1) * rows + i];
+                adc.convert(-i_diff / g_f + output_offsets[i]) * adc.v_ref()
+            };
+            for (i, yi) in out.row_mut(b).iter_mut().enumerate() {
                 let v_combined = match nplanes {
-                    2 => pair_values[0],
-                    4 => 16.0 * pair_values[0] + pair_values[1],
+                    2 => read(0, i),
+                    4 => 16.0 * read(0, i) + read(1, i),
                     _ => unreachable!("operators have 2 or 4 planes"),
                 };
                 *yi = -v_combined * g_f * conv;
             }
         }
         Ok(out)
+    }
+
+    /// The operator's noise-free planes packed as one panel
+    /// `[G₀ᵀ | G₁ᵀ | …]`, read afresh only if an array under one of its
+    /// planes has moved to a new generation since the last build. Served
+    /// from the operator, it counts one snapshot hit per plane, as the
+    /// per-plane snapshot lookups it stands for would.
+    fn plane_panel(&mut self, id: OperatorId) -> Result<&PackedRhs, CoreError> {
+        let op = &self.operators[id.0];
+        let generations = op.planes.iter().map(|p| self.macros[p.macro_id].array.generation());
+        if op.panel.as_ref().is_some_and(|panel| panel.generations.iter().copied().eq(generations))
+        {
+            self.telemetry.add_snapshot_hits(op.planes.len() as u64);
+        } else {
+            let reads = op
+                .planes
+                .iter()
+                .map(|p| self.macros[p.macro_id].array.effective_conductances(p.region))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(CoreError::from)?;
+            let generations =
+                op.planes.iter().map(|p| self.macros[p.macro_id].array.generation()).collect();
+            let packed = PackedRhs::from_transposed(&reads);
+            self.operators[id.0].panel = Some(PlanePanel { generations, packed });
+        }
+        Ok(&self.operators[id.0].panel.as_ref().expect("panel served or just built").packed)
     }
 
     /// Reference MVM through the full MNA netlist (differential operators
@@ -1614,18 +1654,62 @@ mod tests {
 
     #[test]
     fn mvm_batch_gt_cache_is_hit_and_invalidated() {
-        let mut g = ideal_group(4, 6, 17);
+        use gramc_device::{FaultKind, FaultPlan};
+        use gramc_telemetry::HwSnapshot;
+
         let mut rng = seeded_rng(58);
         let a = random::gaussian_matrix(&mut rng, 6, 6);
-        let op = g.load_matrix(&a).unwrap();
         let xs: Vec<Vec<f64>> = (0..3).map(|_| random::normal_vector(&mut rng, 6)).collect();
-        // First call builds the snapshot, second call serves it — results
+        let loaded = || {
+            let mut g = ideal_group(4, 6, 17);
+            let op = g.load_matrix(&a).unwrap();
+            (g, op)
+        };
+        let (mut g, op) = loaded();
+        // First call builds the panel, second call serves it — results
         // must be identical (the read is deterministic without read noise).
         let y1 = g.mvm_batch(op, &xs).unwrap();
+        let before = g.hw_snapshot();
         let y2 = g.mvm_batch(op, &xs).unwrap();
         assert_eq!(y1, y2);
+        // A served panel stands for one snapshot hit per plane; 3 driven
+        // rows × 6 columns, 2 planes of 6×6 cells, 6 rows × 1 pair of ADCs.
+        let expected = HwSnapshot {
+            dac_drives: 18,
+            adc_conversions: 18,
+            settle_events: 6,
+            read_cycles_mvm: 216,
+            snapshot_hits: 2,
+            ..HwSnapshot::default()
+        };
+        assert_eq!(g.hw_snapshot().since(&before), expected);
+
+        // Faults on the same operator's arrays: after a cached batch, each
+        // answer must equal that of a fresh group holding the same fault
+        // state before its first batch. The stuck cell sits in plane 0's
+        // region (both planes share macro 0 when they fit side by side).
+        let mid = g.operators[op.0].planes[0].macro_id;
+        let (rows, cols) = (g.config.array_rows, g.config.array_cols);
+        let faults = [(1, 2, FaultKind::StuckAtOn), (4, 3, FaultKind::Drift)];
+        let plan = FaultPlan::from_faults(rows, cols, &faults, Default::default());
+        g.macros[mid].array.install_fault_plan(plan.clone());
+        let y_stuck = g.mvm_batch(op, &xs).unwrap();
+        assert_ne!(y_stuck, y2, "the stuck cell must change the answer");
+        let (mut fresh, fresh_op) = loaded();
+        fresh.macros[mid].array.install_fault_plan(plan.clone());
+        assert_eq!(y_stuck, fresh.mvm_batch(fresh_op, &xs).unwrap());
+
+        g.advance_fault_time(3600.0);
+        let y_drift = g.mvm_batch(op, &xs).unwrap();
+        assert_ne!(y_drift, y_stuck, "the drifting cell must change the answer");
+        let (mut fresh, fresh_op) = loaded();
+        fresh.macros[mid].array.install_fault_plan(plan);
+        fresh.advance_fault_time(3600.0);
+        assert_eq!(y_drift, fresh.mvm_batch(fresh_op, &xs).unwrap());
+
         // Reprogramming the macros (free + reload of a different matrix)
-        // bumps the array generations; a stale snapshot must not survive.
+        // bumps the array generations; a stale panel must not survive.
+        g.clear_faults();
         g.free_operator(op).unwrap();
         let b = random::gaussian_matrix(&mut rng, 6, 6);
         let op2 = g.load_matrix(&b).unwrap();
@@ -1638,10 +1722,33 @@ mod tests {
     }
 
     #[test]
+    fn all_zero_batch_leaves_the_noisy_read_stream_alone() {
+        // With read noise, reading the planes draws one sample per cell: a
+        // batch of zero inputs must return zeros without that read, so the
+        // next noisy answer is the one it would have been without the batch.
+        let solved = |zero_batch_first: bool| {
+            let mut g = MacroGroup::new(2, MacroConfig::small(6), 23);
+            let a = Matrix::from_fn(6, 6, |i, j| if i == j { 2.0 } else { 0.2 });
+            let op = g.load_matrix(&a).unwrap();
+            if zero_batch_first {
+                let before = g.hw_snapshot();
+                let ys = g.mvm_batch(op, &[vec![0.0; 6], vec![0.0; 6]]).unwrap();
+                assert_eq!(ys, vec![vec![0.0; 6]; 2]);
+                assert_eq!(g.hw_snapshot(), before, "a zero batch records no hardware event");
+            }
+            g.solve_inv(op, &[1.0, -0.5, 0.25, 0.75, -1.0, 0.5]).unwrap()
+        };
+        let (plain, after_zero_batch) = (solved(false), solved(true));
+        for (x, y) in plain.iter().zip(&after_zero_batch) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{plain:?} vs {after_zero_batch:?}");
+        }
+    }
+
+    #[test]
     fn mvm_batch_rows_matches_vec_batch_and_is_thread_count_invariant() {
         // The Matrix-batch entry point is the implementation the Vec-batch
-        // wrapper delegates to, and its plane products must not change
-        // results with the thread budget their `matmul` splits rows over —
+        // wrapper delegates to, and its one product over all planes must
+        // not change results with the thread budget it splits rows over —
         // here on a 4-plane bit-sliced operator. Noise-free config keeps
         // every call deterministic; bit slicing needs 4-bit cells, so use
         // the quantization-only config.

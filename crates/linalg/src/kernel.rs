@@ -2,11 +2,12 @@
 //!
 //! This is the top rung of the raw-speed ladder for dense products: B is
 //! repacked into column panels of [`NR`] lanes laid out contiguously along
-//! `k`, and output rows are produced four at a time against one panel with
-//! all 16 accumulators held in registers. The inner loop body is 16
-//! independent `acc += a * b` updates on four 4-wide lanes — exactly the
-//! shape LLVM turns into `f64x4` vector adds/muls on stable Rust, with no
-//! `unsafe` and no explicit intrinsics.
+//! `k` (a [`PackedRhs`], which callers may keep and reuse), and output rows
+//! are produced four at a time against one panel with all 16 accumulators
+//! held in registers. The inner loop body is 16 independent `acc += a * b`
+//! updates on four 4-wide lanes — exactly the shape LLVM turns into `f64x4`
+//! vector adds/muls on stable Rust, with no `unsafe` and no explicit
+//! intrinsics.
 //!
 //! ## Bit-identity contract
 //!
@@ -187,6 +188,10 @@ pub(crate) fn update_rows_x4<const SUB: bool, const SKIP: bool>(
 }
 
 /// Single-row edge flavor of [`update_rows_x4`].
+///
+/// Without `SKIP`, full panels go four at a time: four independent
+/// accumulator vectors, so a lone output row is not bound by the latency of
+/// one add chain. Each lane still sums its own `k` terms in ascending order.
 pub(crate) fn update_rows_x1<const SUB: bool, const SKIP: bool>(
     c: &mut [f64],
     a: &[f64],
@@ -196,7 +201,28 @@ pub(crate) fn update_rows_x1<const SUB: bool, const SKIP: bool>(
 ) {
     let a = &a[..kc];
     let n_panels = n_out.div_ceil(NR);
-    for jp in 0..n_panels {
+    let mut jp = 0;
+    while !SKIP && (jp + 4) * NR <= n_out {
+        let j0 = jp * NR;
+        let panel = |q: usize| packed[(jp + q) * kc * NR..(jp + q + 1) * kc * NR].chunks_exact(NR);
+        let mut acc = [[0.0f64; NR]; 4];
+        for (q, accq) in acc.iter_mut().enumerate() {
+            accq.copy_from_slice(&c[j0 + q * NR..j0 + (q + 1) * NR]);
+        }
+        let [mut t0, mut t1, mut t2, mut t3] = acc;
+        let ks = a.iter().zip(panel(0)).zip(panel(1)).zip(panel(2)).zip(panel(3));
+        for ((((&x, b0), b1), b2), b3) in ks {
+            lane_update::<SUB>(&mut t0, x, b0);
+            lane_update::<SUB>(&mut t1, x, b1);
+            lane_update::<SUB>(&mut t2, x, b2);
+            lane_update::<SUB>(&mut t3, x, b3);
+        }
+        for (q, accq) in [t0, t1, t2, t3].iter().enumerate() {
+            c[j0 + q * NR..j0 + (q + 1) * NR].copy_from_slice(accq);
+        }
+        jp += 4;
+    }
+    for jp in jp..n_panels {
         let j0 = jp * NR;
         let lanes = NR.min(n_out - j0);
         let panel = &packed[jp * kc * NR..(jp + 1) * kc * NR];
@@ -228,91 +254,155 @@ const NC_PANELS: usize = 16;
 /// (below this, packing cost dominates and [`Matrix::matmul_unpacked`] wins).
 pub(crate) const PACKED_MIN_DIM: usize = 16;
 
-/// Whether [`matmul_packed_into`] is the right kernel for this shape.
+/// Whether packing the right-hand side pays off for this product shape.
 pub(crate) fn packed_worthwhile(m: usize, k: usize, n: usize) -> bool {
     m >= PACKED_MIN_DIM && k >= PACKED_MIN_DIM && n >= PACKED_MIN_DIM
 }
 
-/// Computes `out = a · b` through the packed register-tile kernel, row
-/// blocks distributed over [`crate::parallel`]. `out` must be zeroed and
-/// already shaped `a.rows × b.cols`.
+/// A right-hand matrix `B` (`k × n`) packed once for any number of products
+/// `A · B` through the register-tile kernel.
 ///
-/// B is packed once into k-block-major panel layout
-/// (`[kb][jp][k_local][lane]`), then each row chunk walks cache blocks
-/// (`KC` × `NC_PANELS·NR`) of it. Per output element the k blocks are
-/// visited in ascending order and `k` ascends within each block, so the
-/// per-element reduction order is exactly that of the reference triple loop.
-pub(crate) fn matmul_packed_into(out: &mut Matrix, a: &Matrix, b: &Matrix) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    debug_assert_eq!(b.rows(), k);
-    debug_assert_eq!(out.shape(), (m, n));
-    let n_panels = n.div_ceil(NR);
-    let mut packed = vec![0.0; n_panels * k * NR];
-    for k0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - k0);
-        let block = &mut packed[k0 * n_panels * NR..(k0 + kc) * n_panels * NR];
-        pack_panels_into((k0..k0 + kc).map(|r| b.row(r)), n, block);
+/// [`Matrix::matmul`] packs its right-hand side on every call; a caller
+/// that multiplies many left-hand sides against one unchanged `B` — the
+/// macro's conductance planes against each batch of drive vectors — packs it
+/// once with [`new`](Self::new) or, from its transposed blocks, with
+/// [`from_transposed`](Self::from_transposed), and calls
+/// [`left_mul`](Self::left_mul) per batch.
+///
+/// The layout is k-block-major panels (`[kb][jp][k_local][lane]`, `KC`
+/// rows of `k` per block, 4-lane column panels, the last one
+/// zero-padded). [`left_mul`](Self::left_mul) visits the k blocks in
+/// ascending order and `k` ascends within each, with a separate multiply and
+/// add per term, so for finite inputs every output element is bit-identical
+/// to [`Matrix::matmul_reference`] at any row count, including 1.
+#[derive(Debug, Clone)]
+pub struct PackedRhs {
+    k: usize,
+    n: usize,
+    data: Vec<f64>,
+}
+
+impl PackedRhs {
+    fn zeroed(k: usize, n: usize) -> Self {
+        Self { k, n, data: vec![0.0; n.div_ceil(NR) * k * NR] }
     }
-    let packed = &packed;
-    crate::parallel::for_each_chunk_mut(
-        out.as_mut_slice(),
-        PACKED_ROW_BLOCK * n,
-        |start, chunk| {
-            let row0 = start / n;
-            let nrows = chunk.len() / n;
+
+    /// Start of the k block holding rows `k0 ..` of `B`.
+    fn block_start(&self, k0: usize) -> usize {
+        k0 * self.n.div_ceil(NR) * NR
+    }
+
+    /// Packs `b`.
+    pub fn new(b: &Matrix) -> Self {
+        let (k, n) = b.shape();
+        let mut packed = Self::zeroed(k, n);
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
+            let range = packed.block_start(k0)..packed.block_start(k0 + kc);
+            pack_panels_into((k0..k0 + kc).map(|r| b.row(r)), n, &mut packed.data[range]);
+        }
+        packed
+    }
+
+    /// Packs `B = [M₀ᵀ | M₁ᵀ | …]` straight from the blocks `M_p`, which
+    /// must share one column count `k`: row `i` of `M_p` becomes one column
+    /// of `B`, blocks in order. No transpose is formed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the blocks' column counts differ.
+    pub fn from_transposed(blocks: &[Matrix]) -> Self {
+        let k = blocks.first().map_or(0, Matrix::cols);
+        assert!(blocks.iter().all(|m| m.cols() == k), "blocks must share one column count");
+        let mut packed = Self::zeroed(k, blocks.iter().map(Matrix::rows).sum());
+        let columns = blocks.iter().flat_map(|m| (0..m.rows()).map(move |i| m.row(i)));
+        for (j, col) in columns.enumerate() {
+            let (jp, lane) = (j / NR, j % NR);
             for k0 in (0..k).step_by(KC) {
                 let kc = KC.min(k - k0);
-                let kb = &packed[k0 * n_panels * NR..(k0 + kc) * n_panels * NR];
-                for jp0 in (0..n_panels).step_by(NC_PANELS) {
-                    let jp1 = (jp0 + NC_PANELS).min(n_panels);
-                    let jblock = &kb[jp0 * kc * NR..jp1 * kc * NR];
-                    let j0 = jp0 * NR;
-                    let n_sub = (jp1 * NR).min(n) - j0;
-                    let mut rest = &mut *chunk;
-                    let mut i = row0;
-                    let end = row0 + nrows;
-                    while i + 4 <= end {
-                        let (r0, tail) = rest.split_at_mut(n);
-                        let (r1, tail) = tail.split_at_mut(n);
-                        let (r2, tail) = tail.split_at_mut(n);
-                        let (r3, tail) = tail.split_at_mut(n);
-                        update_rows_x4::<false, false>(
-                            [
-                                &mut r0[j0..j0 + n_sub],
-                                &mut r1[j0..j0 + n_sub],
-                                &mut r2[j0..j0 + n_sub],
-                                &mut r3[j0..j0 + n_sub],
-                            ],
-                            [
-                                &a.row(i)[k0..k0 + kc],
-                                &a.row(i + 1)[k0..k0 + kc],
-                                &a.row(i + 2)[k0..k0 + kc],
-                                &a.row(i + 3)[k0..k0 + kc],
-                            ],
-                            jblock,
-                            kc,
-                            n_sub,
-                        );
-                        rest = tail;
-                        i += 4;
-                    }
-                    while i < end {
-                        let (r0, tail) = rest.split_at_mut(n);
-                        update_rows_x1::<false, false>(
-                            &mut r0[j0..j0 + n_sub],
-                            &a.row(i)[k0..k0 + kc],
-                            jblock,
-                            kc,
-                            n_sub,
-                        );
-                        rest = tail;
-                        i += 1;
-                    }
+                let base = packed.block_start(k0) + jp * kc * NR + lane;
+                for (kl, &v) in col[k0..k0 + kc].iter().enumerate() {
+                    packed.data[base + kl * NR] = v;
                 }
             }
-        },
-    );
+        }
+        packed
+    }
+
+    /// Returns `a · B`, row blocks distributed over [`crate::parallel`].
+    ///
+    /// Each row chunk walks cache blocks (`KC` × `NC_PANELS·NR`) of the
+    /// packed panels, four rows at a time and then one at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.cols()` differs from the row count of `B`.
+    pub fn left_mul(&self, a: &Matrix) -> Matrix {
+        let (m, k) = a.shape();
+        assert_eq!(k, self.k, "matmul dimension mismatch: {m}x{k} · {}x{}", self.k, self.n);
+        let n = self.n;
+        let n_panels = n.div_ceil(NR);
+        let mut out = Matrix::zeros(m, n);
+        crate::parallel::for_each_chunk_mut(
+            out.as_mut_slice(),
+            PACKED_ROW_BLOCK * n,
+            |start, chunk| {
+                let row0 = start / n;
+                let nrows = chunk.len() / n;
+                for k0 in (0..k).step_by(KC) {
+                    let kc = KC.min(k - k0);
+                    let kb = &self.data[self.block_start(k0)..self.block_start(k0 + kc)];
+                    for jp0 in (0..n_panels).step_by(NC_PANELS) {
+                        let jp1 = (jp0 + NC_PANELS).min(n_panels);
+                        let jblock = &kb[jp0 * kc * NR..jp1 * kc * NR];
+                        let j0 = jp0 * NR;
+                        let n_sub = (jp1 * NR).min(n) - j0;
+                        let mut rest = &mut *chunk;
+                        let mut i = row0;
+                        let end = row0 + nrows;
+                        while i + 4 <= end {
+                            let (r0, tail) = rest.split_at_mut(n);
+                            let (r1, tail) = tail.split_at_mut(n);
+                            let (r2, tail) = tail.split_at_mut(n);
+                            let (r3, tail) = tail.split_at_mut(n);
+                            update_rows_x4::<false, false>(
+                                [
+                                    &mut r0[j0..j0 + n_sub],
+                                    &mut r1[j0..j0 + n_sub],
+                                    &mut r2[j0..j0 + n_sub],
+                                    &mut r3[j0..j0 + n_sub],
+                                ],
+                                [
+                                    &a.row(i)[k0..k0 + kc],
+                                    &a.row(i + 1)[k0..k0 + kc],
+                                    &a.row(i + 2)[k0..k0 + kc],
+                                    &a.row(i + 3)[k0..k0 + kc],
+                                ],
+                                jblock,
+                                kc,
+                                n_sub,
+                            );
+                            rest = tail;
+                            i += 4;
+                        }
+                        while i < end {
+                            let (r0, tail) = rest.split_at_mut(n);
+                            update_rows_x1::<false, false>(
+                                &mut r0[j0..j0 + n_sub],
+                                &a.row(i)[k0..k0 + kc],
+                                jblock,
+                                kc,
+                                n_sub,
+                            );
+                            rest = tail;
+                            i += 1;
+                        }
+                    }
+                }
+            },
+        );
+        out
+    }
 }
 
 #[cfg(test)]
@@ -338,19 +428,37 @@ mod tests {
     #[test]
     fn packed_matmul_is_bit_identical_to_reference() {
         // Shapes straddling every edge case: tile tails in m and n,
-        // single-lane panels, k below/above the panel stride.
-        for &(m, k, n) in
-            &[(16usize, 16usize, 16usize), (17, 19, 21), (20, 16, 18), (33, 47, 65), (64, 64, 64)]
-        {
+        // single-lane panels, k below/above the panel stride. 1–9 rows
+        // reach the single-row kernel (alone and after 4-row tiles); n = 13
+        // leaves a ragged panel after three full ones, n = 70 fills the
+        // four-panel loop and crosses a column block; k = 300 spans two k
+        // blocks.
+        let large = [(16, 16, 16), (17, 19, 21), (20, 16, 18), (33, 47, 65), (64, 64, 64)];
+        let small = (1..=9).flat_map(|m| [(m, 300, 13), (m, 300, 70), (m, 19, 70)]);
+        for (m, k, n) in large.into_iter().chain(small) {
             let a = seeded(m, k, 0.7);
             let b = seeded(k, n, 1.3);
-            let mut out = Matrix::zeros(m, n);
-            matmul_packed_into(&mut out, &a, &b);
-            let reference = a.matmul_reference(&b);
-            for (x, y) in out.as_slice().iter().zip(reference.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}·{k}x{n}: {x} vs {y}");
-            }
+            assert_bit_identical(&PackedRhs::new(&b).left_mul(&a), &a.matmul_reference(&b));
         }
+    }
+
+    fn assert_bit_identical(fast: &Matrix, reference: &Matrix) {
+        assert_eq!(fast.shape(), reference.shape());
+        for (x, y) in fast.as_slice().iter().zip(reference.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{:?}: {x} vs {y}", fast.shape());
+        }
+    }
+
+    #[test]
+    fn packing_transposed_blocks_matches_packing_their_stack() {
+        // [M₀ᵀ | M₁ᵀ] packed from the blocks equals packing the stacked
+        // transpose, across a k-block boundary and a ragged last panel.
+        let (m0, m1) = (seeded(7, 300, 0.4), seeded(6, 300, 0.8));
+        let stacked = m0.vstack(&m1).unwrap().transpose();
+        let from_blocks = PackedRhs::from_transposed(&[m0, m1]);
+        assert_eq!(from_blocks.data, PackedRhs::new(&stacked).data);
+        let a = seeded(3, 300, 0.6);
+        assert_bit_identical(&from_blocks.left_mul(&a), &a.matmul_reference(&stacked));
     }
 
     #[test]

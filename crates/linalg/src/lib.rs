@@ -38,10 +38,13 @@
 //!    the [`parallel`] helpers; column ownership makes every f64 touched
 //!    by exactly one thread, so the factors match the serial oracle
 //!    ([`LuDecomposition::new_unblocked`]) bitwise at any thread count.
-//! 3. **In-order plane dispatch** (`gramc-core`): the 2 or 4 per-plane
-//!    drive-matrix products of an operator run one after another, each
-//!    splitting its rows over threads inside [`Matrix::matmul`]; a thread
-//!    per plane cost more to spawn than the products take.
+//! 3. **One product per macro batch** (`gramc-core`): an operator's 2 or 4
+//!    conductance planes are packed once, side by side, into a
+//!    [`PackedRhs`] `[G₀ᵀ | G₁ᵀ | …]` kept with the operator, and each
+//!    batch of drive vectors is one [`PackedRhs::left_mul`] against it
+//!    (rows split over threads) instead of one `matmul`, with its own
+//!    packing, per plane. A one-row product keeps four panels' accumulators
+//!    in flight, so small served batches are not bound by add latency.
 //! 4. **Fused streaming inference** (`gramc-nn`): im2col writes straight
 //!    into reusable whole-batch drive matrices; bias + ReLU + pooling fuse
 //!    into the decode pass. Zero per-image heap allocation at steady
@@ -87,6 +90,7 @@ pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
+pub use kernel::PackedRhs;
 pub use matrix::Matrix;
 
 pub use eigen::{power_iteration, EigenPair, SymmetricEigen};

@@ -216,9 +216,7 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         if crate::kernel::packed_worthwhile(self.rows, self.cols, rhs.cols) {
-            let mut out = Matrix::zeros(self.rows, rhs.cols);
-            crate::kernel::matmul_packed_into(&mut out, self, rhs);
-            return out;
+            return crate::PackedRhs::new(rhs).left_mul(self);
         }
         self.matmul_unpacked(rhs)
     }
