@@ -490,6 +490,7 @@ fn main() {
             None => Vec::new(),
         };
         extra_meta.insert(0, ("bench".to_string(), "bench_kernels_smoke".to_string()));
+        extra_meta.insert(1, ("kernel_isa".to_string(), gramc_linalg::kernel_isa().to_string()));
         let meta: Vec<(&str, String)> =
             extra_meta.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
         std::fs::write(&out_path, to_json(&meta, &samples)).expect("write benchmark json");
@@ -498,6 +499,7 @@ fn main() {
         let tmeta = vec![
             ("bench", "bench_kernels_smoke".to_string()),
             ("host_cpus", host_cpus.to_string()),
+            ("kernel_isa", gramc_linalg::kernel_isa().to_string()),
         ];
         write_telemetry_report(
             &out_path,
@@ -778,6 +780,7 @@ fn main() {
         ("dim_array", "128".to_string()),
         ("threads", gramc_linalg::parallel::max_threads().to_string()),
         ("host_cpus", host_cpus.to_string()),
+        ("kernel_isa", gramc_linalg::kernel_isa().to_string()),
         ("parallel_feature", gramc_linalg::parallel::feature_enabled().to_string()),
         ("matmul_512_speedup_vs_naive", format!("{matmul_speedup:.3}")),
         ("matmul_512_speedup_vs_unpacked", format!("{packed_speedup:.3}")),

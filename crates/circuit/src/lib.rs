@@ -16,8 +16,7 @@
 //! the arrays is gathered straight into it and the elimination replayed,
 //! with no netlist ([`DcOperator::refactor_conductances`], with the element
 //! orders of [`topology::inv_conductances`] and
-//! [`topology::pinv_conductances`]), or from a rebuilt circuit
-//! ([`DcOperator::refactor`]).
+//! [`topology::pinv_conductances`]).
 //!
 //! The crate's centerpiece is [`topology`]: builders for the four
 //! reconfigurable AMC circuit configurations of the paper — MVM, INV, PINV

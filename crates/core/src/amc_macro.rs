@@ -785,11 +785,37 @@ impl MacroGroup {
     /// same order at any thread count. A batch of all-zero inputs returns
     /// zeros without reading the arrays.
     ///
+    /// The DAC-drive and ADC-decode loops run in their AVX2 build on a CPU
+    /// with AVX2 (see [`gramc_linalg::kernel_isa`]), where each
+    /// conversion's rounding is one instruction; the answer is the same
+    /// bits in either build.
+    ///
     /// # Errors
     ///
     /// [`CoreError::ShapeMismatch`] if `xs.cols()` differs from the
     /// operator's column count, plus stale-handle errors.
     pub fn mvm_batch_rows(&mut self, id: OperatorId, xs: &Matrix) -> Result<Matrix, CoreError> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `batch_rows_avx2` requires nothing but AVX2, and the
+            // CPU was detected to have it just above.
+            return unsafe { self.batch_rows_avx2(id, xs) };
+        }
+        self.batch_rows(id, xs)
+    }
+
+    /// [`batch_rows`](Self::batch_rows) compiled with AVX2 enabled.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn batch_rows_avx2(&mut self, id: OperatorId, xs: &Matrix) -> Result<Matrix, CoreError> {
+        self.batch_rows(id, xs)
+    }
+
+    /// The body of [`mvm_batch_rows`](Self::mvm_batch_rows). Always inlined,
+    /// with the converters it calls, so each caller builds its loops for
+    /// its own instruction set.
+    #[inline(always)]
+    fn batch_rows(&mut self, id: OperatorId, xs: &Matrix) -> Result<Matrix, CoreError> {
         let op = self.operator(id)?;
         let (rows, cols, scale, nplanes) =
             (op.info.rows, op.info.cols, op.info.scale, op.info.planes);
@@ -1773,6 +1799,48 @@ mod tests {
             for (j, v) in y.iter().enumerate() {
                 assert_eq!(v.to_bits(), via_rows[(b, j)].to_bits());
                 assert_eq!(v.to_bits(), serial_planes[(b, j)].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn batch_loops_give_the_same_bits_in_both_builds() {
+        // The portable build of the DAC-drive and ADC-decode loops, called
+        // directly, against the dispatched one (the AVX2 build on a CPU with
+        // AVX2), on two groups seeded alike so noisy reads draw the same
+        // samples: every output and every hardware counter, bit for bit.
+        let configs = [
+            ("ideal", NonidealityConfig::ideal(), false),
+            ("bit-sliced quantization_only(4)", NonidealityConfig::quantization_only(4), true),
+            ("paper_default", NonidealityConfig::paper_default(), false),
+        ];
+        for (name, nonideal, bitsliced) in configs {
+            let cfg = MacroConfig { nonideal, ..MacroConfig::small(24) };
+            let mut rng = seeded_rng(71);
+            let a = random::gaussian_matrix(&mut rng, 20, 24);
+            let loaded = || {
+                let mut g = MacroGroup::new(4, cfg.clone(), 72);
+                let op = if bitsliced { g.load_matrix_bitsliced(&a) } else { g.load_matrix(&a) };
+                (g, op.unwrap())
+            };
+            let ((mut portable, op), (mut dispatched, _)) = (loaded(), loaded());
+            for bsz in (1..=9).chain([17, 33]) {
+                let mut xs = random::gaussian_matrix(&mut rng, bsz, 24);
+                if bsz > 1 {
+                    // An all-zero input keeps its exact-zero output.
+                    xs.row_mut(bsz / 2).fill(0.0);
+                }
+                let (before_p, before_d) = (portable.hw_snapshot(), dispatched.hw_snapshot());
+                let want = portable.batch_rows(op, &xs).unwrap();
+                let got = dispatched.mvm_batch_rows(op, &xs).unwrap();
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{name}, batch of {bsz}");
+                assert_eq!(
+                    dispatched.hw_snapshot().since(&before_d),
+                    portable.hw_snapshot().since(&before_p),
+                    "{name}, batch of {bsz}"
+                );
             }
         }
     }

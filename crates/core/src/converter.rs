@@ -55,6 +55,7 @@ impl Dac {
 
     /// Converts a normalized digital value in `[-1, 1]` to an output voltage
     /// (values outside the range clip to full scale).
+    #[inline]
     pub fn convert(&self, normalized: f64) -> f64 {
         let m = self.max_code() as f64;
         let code = (normalized * m).round().clamp(-m, m);
@@ -118,6 +119,7 @@ impl Adc {
 
     /// Converts a voltage to a normalized digital value in `[-1, 1]`
     /// (clipping outside `±v_ref`).
+    #[inline]
     pub fn convert(&self, volts: f64) -> f64 {
         let m = self.max_code() as f64;
         let code = (volts / self.v_ref * m).round().clamp(-m, m);

@@ -5,18 +5,33 @@
 //! `k` (a [`PackedRhs`], which callers may keep and reuse), and output rows
 //! are produced four at a time against one panel with all 16 accumulators
 //! held in registers. The inner loop body is 16 independent `acc += a * b`
-//! updates on four 4-wide lanes — exactly the shape LLVM turns into `f64x4`
-//! vector adds/muls on stable Rust, with no `unsafe` and no explicit
-//! intrinsics.
+//! updates on four 4-lane accumulators, plain safe Rust that LLVM
+//! vectorizes to whatever width the enabled instruction set offers.
+//!
+//! ## Which body runs where
+//!
+//! The row-chunk body of [`PackedRhs::left_mul`] is one `#[inline(always)]`
+//! function built twice: as is, for the compilation target (SSE2 on the
+//! default x86-64 target: two lanes per instruction), and inside a
+//! `#[target_feature(enable = "avx2")]` wrapper, where the same loops
+//! compile to four-lane `ymm` multiplies and adds. On x86-64 the dispatcher
+//! picks the AVX2 build when `is_x86_feature_detected!("avx2")` says the CPU
+//! has it; other CPUs and targets run the portable build. [`kernel_isa`]
+//! names the build this CPU runs. The one `unsafe` block is that call: a
+//! `#[target_feature]` function may only run on a CPU with the feature, and
+//! the detection just before it is the proof. The LU trailing update keeps
+//! the portable build.
 //!
 //! ## Bit-identity contract
 //!
 //! Every output element still accumulates over `k` in strictly ascending
-//! order with a separate multiply and add per term (no `mul_add`, so no FMA
-//! contraction), which makes the packed path bit-identical to
+//! order with a separate multiply and add per term (no `mul_add`, and Rust
+//! never contracts the two into an FMA, even where the target has one),
+//! which makes the packed path bit-identical to
 //! [`Matrix::matmul_reference`](crate::Matrix::matmul_reference) for finite
-//! inputs — the same contract the previous blocked kernel had. Packing only
-//! changes *where* B's values are read from, never the per-element reduction
+//! inputs in both builds — vector width changes how many lanes one
+//! instruction carries, never one lane's arithmetic. Packing only changes
+//! *where* B's values are read from, never the per-element reduction
 //! order. Ragged panel edges are zero-padded; padded lanes are computed and
 //! discarded, never stored.
 //!
@@ -88,6 +103,8 @@ fn lane_update<const SUB: bool>(acc: &mut [f64; NR], x: f64, bv: &[f64]) {
 /// With `SKIP`, any `k` whose four `a` factors include an exact `0.0` falls
 /// back to per-row updates that skip zero factors — matching the
 /// `if factor == 0.0 { continue }` of the serial elimination loop bit-for-bit.
+/// Always inlined, so it compiles for the instruction set of its caller.
+#[inline(always)]
 pub(crate) fn update_rows_x4<const SUB: bool, const SKIP: bool>(
     c: [&mut [f64]; 4],
     a: [&[f64]; 4],
@@ -192,6 +209,7 @@ pub(crate) fn update_rows_x4<const SUB: bool, const SKIP: bool>(
 /// Without `SKIP`, full panels go four at a time: four independent
 /// accumulator vectors, so a lone output row is not bound by the latency of
 /// one add chain. Each lane still sums its own `k` terms in ascending order.
+#[inline(always)]
 pub(crate) fn update_rows_x1<const SUB: bool, const SKIP: bool>(
     c: &mut [f64],
     a: &[f64],
@@ -332,76 +350,119 @@ impl PackedRhs {
     /// Returns `a · B`, row blocks distributed over [`crate::parallel`].
     ///
     /// Each row chunk walks cache blocks (`KC` × `NC_PANELS·NR`) of the
-    /// packed panels, four rows at a time and then one at a time.
+    /// packed panels, four rows at a time and then one at a time, in the
+    /// widest build of that body this CPU runs (see [`kernel_isa`]).
     ///
     /// # Panics
     ///
     /// Panics if `a.cols()` differs from the row count of `B`.
     pub fn left_mul(&self, a: &Matrix) -> Matrix {
+        self.left_mul_by(a, mul_rows)
+    }
+
+    /// [`left_mul`](Self::left_mul) with every row chunk computed by `rows`.
+    fn left_mul_by(&self, a: &Matrix, rows: RowsFn) -> Matrix {
         let (m, k) = a.shape();
         assert_eq!(k, self.k, "matmul dimension mismatch: {m}x{k} · {}x{}", self.k, self.n);
         let n = self.n;
-        let n_panels = n.div_ceil(NR);
         let mut out = Matrix::zeros(m, n);
         crate::parallel::for_each_chunk_mut(
             out.as_mut_slice(),
             PACKED_ROW_BLOCK * n,
-            |start, chunk| {
-                let row0 = start / n;
-                let nrows = chunk.len() / n;
-                for k0 in (0..k).step_by(KC) {
-                    let kc = KC.min(k - k0);
-                    let kb = &self.data[self.block_start(k0)..self.block_start(k0 + kc)];
-                    for jp0 in (0..n_panels).step_by(NC_PANELS) {
-                        let jp1 = (jp0 + NC_PANELS).min(n_panels);
-                        let jblock = &kb[jp0 * kc * NR..jp1 * kc * NR];
-                        let j0 = jp0 * NR;
-                        let n_sub = (jp1 * NR).min(n) - j0;
-                        let mut rest = &mut *chunk;
-                        let mut i = row0;
-                        let end = row0 + nrows;
-                        while i + 4 <= end {
-                            let (r0, tail) = rest.split_at_mut(n);
-                            let (r1, tail) = tail.split_at_mut(n);
-                            let (r2, tail) = tail.split_at_mut(n);
-                            let (r3, tail) = tail.split_at_mut(n);
-                            update_rows_x4::<false, false>(
-                                [
-                                    &mut r0[j0..j0 + n_sub],
-                                    &mut r1[j0..j0 + n_sub],
-                                    &mut r2[j0..j0 + n_sub],
-                                    &mut r3[j0..j0 + n_sub],
-                                ],
-                                [
-                                    &a.row(i)[k0..k0 + kc],
-                                    &a.row(i + 1)[k0..k0 + kc],
-                                    &a.row(i + 2)[k0..k0 + kc],
-                                    &a.row(i + 3)[k0..k0 + kc],
-                                ],
-                                jblock,
-                                kc,
-                                n_sub,
-                            );
-                            rest = tail;
-                            i += 4;
-                        }
-                        while i < end {
-                            let (r0, tail) = rest.split_at_mut(n);
-                            update_rows_x1::<false, false>(
-                                &mut r0[j0..j0 + n_sub],
-                                &a.row(i)[k0..k0 + kc],
-                                jblock,
-                                kc,
-                                n_sub,
-                            );
-                            rest = tail;
-                            i += 1;
-                        }
-                    }
-                }
-            },
+            |start, chunk| rows(self, a, start / n, chunk),
         );
         out
+    }
+}
+
+/// Computes rows `row0 ..` of `a · B` into `chunk` (whole output rows).
+type RowsFn = fn(&PackedRhs, &Matrix, usize, &mut [f64]);
+
+/// The instruction set of the dispatched kernel builds this CPU runs:
+/// `"avx2"` on an x86-64 CPU with AVX2, else `"portable"` (the build for
+/// the compilation target alone). Answers are the same either way.
+pub fn kernel_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "portable"
+}
+
+/// [`mul_rows_portable`] in its AVX2 build where the CPU has AVX2.
+fn mul_rows(packed: &PackedRhs, a: &Matrix, row0: usize, chunk: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `mul_rows_avx2` requires nothing but AVX2, and the CPU
+        // was detected to have it just above.
+        return unsafe { mul_rows_avx2(packed, a, row0, chunk) };
+    }
+    mul_rows_portable(packed, a, row0, chunk);
+}
+
+/// [`mul_rows_portable`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn mul_rows_avx2(packed: &PackedRhs, a: &Matrix, row0: usize, chunk: &mut [f64]) {
+    mul_rows_portable(packed, a, row0, chunk);
+}
+
+/// The row-chunk body of [`PackedRhs::left_mul`] (a [`RowsFn`]). Always
+/// inlined, with the micro-kernels it calls, so each caller builds it for
+/// its own instruction set.
+#[inline(always)]
+fn mul_rows_portable(packed: &PackedRhs, a: &Matrix, row0: usize, chunk: &mut [f64]) {
+    let (k, n) = (packed.k, packed.n);
+    let n_panels = n.div_ceil(NR);
+    let end = row0 + chunk.len() / n;
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        let kb = &packed.data[packed.block_start(k0)..packed.block_start(k0 + kc)];
+        for jp0 in (0..n_panels).step_by(NC_PANELS) {
+            let jp1 = (jp0 + NC_PANELS).min(n_panels);
+            let jblock = &kb[jp0 * kc * NR..jp1 * kc * NR];
+            let j0 = jp0 * NR;
+            let n_sub = (jp1 * NR).min(n) - j0;
+            let mut rest = &mut *chunk;
+            let mut i = row0;
+            while i + 4 <= end {
+                let (r0, tail) = rest.split_at_mut(n);
+                let (r1, tail) = tail.split_at_mut(n);
+                let (r2, tail) = tail.split_at_mut(n);
+                let (r3, tail) = tail.split_at_mut(n);
+                update_rows_x4::<false, false>(
+                    [
+                        &mut r0[j0..j0 + n_sub],
+                        &mut r1[j0..j0 + n_sub],
+                        &mut r2[j0..j0 + n_sub],
+                        &mut r3[j0..j0 + n_sub],
+                    ],
+                    [
+                        &a.row(i)[k0..k0 + kc],
+                        &a.row(i + 1)[k0..k0 + kc],
+                        &a.row(i + 2)[k0..k0 + kc],
+                        &a.row(i + 3)[k0..k0 + kc],
+                    ],
+                    jblock,
+                    kc,
+                    n_sub,
+                );
+                rest = tail;
+                i += 4;
+            }
+            while i < end {
+                let (r0, tail) = rest.split_at_mut(n);
+                update_rows_x1::<false, false>(
+                    &mut r0[j0..j0 + n_sub],
+                    &a.row(i)[k0..k0 + kc],
+                    jblock,
+                    kc,
+                    n_sub,
+                );
+                rest = tail;
+                i += 1;
+            }
+        }
     }
 }
 
@@ -435,10 +496,15 @@ mod tests {
         // blocks.
         let large = [(16, 16, 16), (17, 19, 21), (20, 16, 18), (33, 47, 65), (64, 64, 64)];
         let small = (1..=9).flat_map(|m| [(m, 300, 13), (m, 300, 70), (m, 19, 70)]);
+        // Both builds of the row body run directly: the portable one, and
+        // the dispatched one (the AVX2 build on a CPU with AVX2).
         for (m, k, n) in large.into_iter().chain(small) {
             let a = seeded(m, k, 0.7);
             let b = seeded(k, n, 1.3);
-            assert_bit_identical(&PackedRhs::new(&b).left_mul(&a), &a.matmul_reference(&b));
+            let (packed, reference) = (PackedRhs::new(&b), a.matmul_reference(&b));
+            for rows in [mul_rows_portable as RowsFn, mul_rows] {
+                assert_bit_identical(&packed.left_mul_by(&a, rows), &reference);
+            }
         }
     }
 

@@ -49,6 +49,14 @@
 //!    into reusable whole-batch drive matrices; bias + ReLU + pooling fuse
 //!    into the decode pass. Zero per-image heap allocation at steady
 //!    state.
+//! 5. **AVX2 builds chosen at run time**: the row-chunk body of
+//!    [`PackedRhs::left_mul`] (so [`Matrix::matmul`]'s packed path, every
+//!    macro batch, the PINV Schur product and LeNet) and, in `gramc-core`,
+//!    the DAC-drive and ADC-decode loops of a macro batch are each one
+//!    source built twice: for the compilation target and with AVX2
+//!    enabled. An x86-64 CPU with AVX2 runs the second ([`kernel_isa`]
+//!    says which). Rust never fuses a multiply and an add, so both builds
+//!    give the same bits; no flag or setting chooses between them.
 //!
 //! The [`parallel`] module is the one switchboard for all of this: the
 //! `parallel` cargo feature (default on) gates thread spawning, and
@@ -74,7 +82,6 @@
 
 #![warn(missing_docs)]
 
-mod cholesky;
 mod error;
 mod kernel;
 mod matrix;
@@ -88,9 +95,8 @@ pub mod random;
 pub mod svd;
 pub mod vector;
 
-pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use kernel::PackedRhs;
+pub use kernel::{kernel_isa, PackedRhs};
 pub use matrix::Matrix;
 
 pub use eigen::{power_iteration, EigenPair, SymmetricEigen};
