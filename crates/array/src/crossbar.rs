@@ -145,9 +145,8 @@ const CACHE_SLOTS: usize = 8;
 ///   entry point) bumps [`generation`](Self::generation) and drops all
 ///   snapshots;
 /// * [`effective_conductances`](Self::effective_conductances),
-///   [`row_currents`](Self::row_currents) / [`col_currents`](Self::col_currents)
-///   and the batched variants ([`row_currents_batch`](Self::row_currents_batch)
-///   / [`col_currents_batch`](Self::col_currents_batch)) serve from the
+///   [`row_currents`](Self::row_currents) and
+///   [`row_currents_batch`](Self::row_currents_batch) serve from the
 ///   snapshot of their region, rebuilding it only on the first read after a
 ///   mutation.
 ///
@@ -707,96 +706,6 @@ impl CrossbarArray {
         })
     }
 
-    /// Transposed MVM fast path: drives the region's rows with `v_rows`
-    /// volts and returns the per-column currents `I = Gᵀ·v`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`row_currents`](Self::row_currents).
-    pub fn col_currents<R: Rng + ?Sized>(
-        &self,
-        region: ActiveRegion,
-        v_rows: &[f64],
-        rng: &mut R,
-    ) -> Result<Vec<f64>, ArrayError> {
-        self.check_region(region)?;
-        if v_rows.len() != region.rows {
-            return Err(ArrayError::ShapeMismatch {
-                expected: (region.rows, 1),
-                found: (v_rows.len(), 1),
-            });
-        }
-        self.telemetry.add_settle_events(1);
-        self.telemetry.add_read_cycles_mvm((region.rows * region.cols) as u64);
-        let sigma = self.config.noise.read_rel_sigma;
-        self.with_snapshot(region, |snap| {
-            let g = &snap.g;
-            let mut out = Vec::with_capacity(region.cols);
-            for j in 0..region.cols {
-                let mut sum = 0.0;
-                let mut var = 0.0;
-                for i in 0..region.rows {
-                    let term = g[(i, j)] * v_rows[i];
-                    sum += term;
-                    var += term * term;
-                }
-                let noise =
-                    if sigma > 0.0 { sigma * var.sqrt() * standard_normal(rng) } else { 0.0 };
-                out.push(sum + noise);
-            }
-            out
-        })
-    }
-
-    /// Batched transposed MVM: every row of `v_batch` is one row-voltage
-    /// drive vector, and row `b` of the output holds the per-column currents
-    /// `I_b = Gᵀ·v_b`. One snapshot read plus one blocked
-    /// `(B×rows)·(rows×cols)` product serves the whole batch; see
-    /// [`row_currents_batch`](Self::row_currents_batch) for the caching and
-    /// noise contract (noise here matches sequential
-    /// [`col_currents`](Self::col_currents) calls).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::ShapeMismatch`] if `v_batch.cols() !=
-    /// region.rows` and [`ArrayError::RegionOutOfBounds`] for invalid
-    /// regions.
-    pub fn col_currents_batch<R: Rng + ?Sized>(
-        &self,
-        region: ActiveRegion,
-        v_batch: &Matrix,
-        rng: &mut R,
-    ) -> Result<Matrix, ArrayError> {
-        self.check_region(region)?;
-        if v_batch.cols() != region.rows {
-            return Err(ArrayError::ShapeMismatch {
-                expected: (v_batch.rows(), region.rows),
-                found: v_batch.shape(),
-            });
-        }
-        self.telemetry.add_settle_events(v_batch.rows() as u64);
-        self.telemetry.add_read_cycles_mvm((v_batch.rows() * region.rows * region.cols) as u64);
-        let sigma = self.config.noise.read_rel_sigma;
-        self.with_snapshot(region, |snap| {
-            // Y = V · G (no transpose needed for the column direction).
-            let mut out = v_batch.matmul(&snap.g);
-            if sigma > 0.0 {
-                for b in 0..out.rows() {
-                    let v = v_batch.row(b);
-                    for j in 0..region.cols {
-                        let mut var = 0.0;
-                        for i in 0..region.rows {
-                            let term = snap.g[(i, j)] * v[i];
-                            var += term * term;
-                        }
-                        out[(b, j)] += sigma * var.sqrt() * standard_normal(rng);
-                    }
-                }
-            }
-            out
-        })
-    }
-
     /// Directly programs a region to the given target conductances (in
     /// siemens) by setting each cell's filament gap, bypassing pulse-level
     /// simulation. `sigma_levels` adds Gaussian programming error in level
@@ -930,21 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn col_currents_are_transposed_mvm() {
-        let (mut xbar, mut rng) = ideal_array(2, 3, 5);
-        let q = LevelQuantizer::paper_default();
-        let region = ActiveRegion::full(2, 3);
-        let targets = Matrix::from_fn(2, 3, |i, j| q.conductance_of(3 * i + j + 2));
-        xbar.program_direct(region, &targets, &q, 0.0, &mut rng).unwrap();
-        let v = [0.15, -0.05];
-        let i = xbar.col_currents(region, &v, &mut rng).unwrap();
-        let expected = targets.tr_matvec(&v);
-        for (a, b) in i.iter().zip(&expected) {
-            assert!((a - b).abs() < 1e-15);
-        }
-    }
-
-    #[test]
     fn aggregated_noise_matches_per_cell_statistics() {
         // The per-output noise shortcut must match brute-force per-cell
         // sampling in mean and standard deviation.
@@ -1023,33 +917,6 @@ mod tests {
                     ys[(b, i)].to_bits() == yi.to_bits(),
                     "batch row {b} output {i}: {} vs {yi}",
                     ys[(b, i)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_col_currents_bit_identical_to_single_loop() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let mut cfg = ArrayConfig::ideal(4, 6);
-        cfg.noise.read_rel_sigma = 0.05;
-        let mut xbar = CrossbarArray::new(cfg, &mut rng);
-        let q = LevelQuantizer::paper_default();
-        let region = ActiveRegion::full(4, 6);
-        let targets = Matrix::from_fn(4, 6, |i, j| q.conductance_of((i + 5 * j) % 16));
-        xbar.program_direct(region, &targets, &q, 0.0, &mut rng).unwrap();
-
-        let batch = Matrix::from_fn(5, 4, |b, i| ((b + i) as f64 * 0.21).cos() * 0.15);
-        let mut rng_batch = StdRng::seed_from_u64(7);
-        let ys = xbar.col_currents_batch(region, &batch, &mut rng_batch).unwrap();
-        let mut rng_loop = StdRng::seed_from_u64(7);
-        for b in 0..batch.rows() {
-            let y = xbar.col_currents(region, batch.row(b), &mut rng_loop).unwrap();
-            for (j, yj) in y.iter().enumerate() {
-                assert!(
-                    ys[(b, j)].to_bits() == yj.to_bits(),
-                    "batch row {b} output {j}: {} vs {yj}",
-                    ys[(b, j)]
                 );
             }
         }
@@ -1172,7 +1039,6 @@ mod tests {
         let (xbar, mut rng) = ideal_array(3, 2, 8);
         let region = ActiveRegion::full(3, 2);
         assert!(xbar.row_currents(region, &[0.1], &mut rng).is_err());
-        assert!(xbar.col_currents(region, &[0.1, 0.1], &mut rng).is_err());
     }
 
     #[test]

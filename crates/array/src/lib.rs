@@ -23,9 +23,8 @@
 //! contract:
 //!
 //! * **Reads are cached.** [`CrossbarArray::effective_conductances`],
-//!   [`CrossbarArray::row_currents`] / [`CrossbarArray::col_currents`] and
-//!   the batched [`CrossbarArray::row_currents_batch`] /
-//!   [`CrossbarArray::col_currents_batch`] all serve from a per-region
+//!   [`CrossbarArray::row_currents`] and the batched
+//!   [`CrossbarArray::row_currents_batch`] all serve from a per-region
 //!   snapshot, rebuilding it only on the first read after a mutation.
 //! * **Mutations invalidate.** [`CrossbarArray::program_direct`] and every
 //!   [`CrossbarArray::cell_mut`] borrow (the write-verify controller's

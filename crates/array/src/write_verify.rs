@@ -8,7 +8,6 @@
 //! write-verify process stops."
 
 use gramc_device::{LevelQuantizer, OneTOneR};
-use gramc_linalg::Matrix;
 use rand::Rng;
 
 use crate::crossbar::{ActiveRegion, CrossbarArray};
@@ -340,30 +339,6 @@ impl WriteVerifyController {
         array.telemetry().add_write_cycles(cells.len() as u64);
         array.telemetry().add_write_pulses(total_pulses as u64);
         Ok(ProgramReport { cells, total_pulses, failures })
-    }
-
-    /// Programs a region to target *conductances* (siemens) by quantizing to
-    /// the nearest level first. Shape must match the region.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`program_region`](Self::program_region).
-    pub fn program_conductances<R: Rng + ?Sized>(
-        &self,
-        array: &mut CrossbarArray,
-        region: ActiveRegion,
-        targets: &Matrix,
-        rng: &mut R,
-    ) -> Result<ProgramReport, ArrayError> {
-        if targets.shape() != region.shape() {
-            return Err(ArrayError::ShapeMismatch {
-                expected: region.shape(),
-                found: targets.shape(),
-            });
-        }
-        let levels: Vec<usize> =
-            targets.as_slice().iter().map(|&g| self.quantizer.level_of(g)).collect();
-        self.program_region(array, region, &levels, rng)
     }
 }
 

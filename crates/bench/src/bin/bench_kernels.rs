@@ -781,7 +781,6 @@ fn main() {
         ("threads", gramc_linalg::parallel::max_threads().to_string()),
         ("host_cpus", host_cpus.to_string()),
         ("kernel_isa", gramc_linalg::kernel_isa().to_string()),
-        ("parallel_feature", gramc_linalg::parallel::feature_enabled().to_string()),
         ("matmul_512_speedup_vs_naive", format!("{matmul_speedup:.3}")),
         ("matmul_512_speedup_vs_unpacked", format!("{packed_speedup:.3}")),
         ("lu_factor_512_speedup_vs_serial", format!("{lu_factor_speedup:.3}")),

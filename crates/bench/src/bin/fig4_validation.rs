@@ -49,7 +49,7 @@ fn main() {
     // the 4-bit quantization, which conditioning amplifies by ~κ) and the
     // quantized operator Â actually held in the array (isolates the analog
     // circuit fidelity — this is the comparison the paper's ~10 % figure is
-    // consistent with; see EXPERIMENTS.md).
+    // consistent with).
     let b = random::normal_vector(&mut rng, n);
     let x_analog = group.solve_inv(op, &b).expect("inv");
     let quantized = group.operator_info(op).expect("info").quantized.clone();

@@ -1,4 +1,4 @@
-//! Supplemental scaling study (EXPERIMENTS.md E8): the analog one-step
+//! Supplemental scaling study: the analog one-step
 //! solver's O(1) settling versus digital O(n³) factorization — the paper's
 //! "high speed and low power" claim made quantitative with the cost models
 //! of `gramc_core::metrics`.

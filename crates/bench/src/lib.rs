@@ -2,7 +2,7 @@
 //!
 //! Benchmark harness and figure-regeneration binaries for the GRAMC
 //! reproduction. Each figure of the paper has a binary that prints the
-//! series/rows the paper plots (see DESIGN.md §5 and EXPERIMENTS.md):
+//! series/rows the paper plots:
 //!
 //! * `fig1_write_verify` — SET/RESET level-vs-pulse staircases (Fig. 1b/1c),
 //! * `fig4_validation` — MVM/INV/PINV/EGV scatter + relative errors (Fig. 4),
@@ -10,10 +10,9 @@
 //! * `ablation_nonideal` — per-error-source sensitivity sweeps,
 //! * `scaling_model` — analog-vs-digital latency/energy model (supplemental).
 //!
-//! Kernel timers (`cargo bench -p gramc-bench`) are plain `harness = false`
-//! binaries built on [`timing`] (criterion is unavailable offline); the
-//! `bench_kernels` binary additionally writes the repo-root
-//! `BENCH_kernels.json` perf baseline consumed by future PRs.
+//! The `bench_kernels` binary times the kernels with [`timing`] (criterion
+//! is unavailable offline) and writes the repo-root `BENCH_kernels.json`
+//! perf baseline.
 
 #![warn(missing_docs)]
 

@@ -159,25 +159,6 @@ pub fn read_mean_ms(json: &str, kernel: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// Reads one metadata key's value back out of a [`to_json`]-shaped
-/// document (the sibling of [`read_mean_ms`] for the `meta` section).
-///
-/// The value comes back as its raw text with any surrounding quotes
-/// stripped, so numbers and strings read uniformly. Returns `None` when
-/// the document has no `meta` section or the key is absent from it —
-/// callers treat that as "not annotated".
-pub fn read_meta_value(json: &str, key: &str) -> Option<String> {
-    // Stay inside the meta object so a kernel of the same name (the
-    // kernels section always follows meta) can never shadow the key.
-    let meta = &json[json.find("\"meta\"")?..];
-    let meta = &meta[..meta.find("\"kernels\"").unwrap_or(meta.len())];
-    let pat = format!("\"{key}\":");
-    let rest = &meta[meta.find(&pat)? + pat.len()..];
-    let line = rest.lines().next()?;
-    let value = line.trim().trim_end_matches(',').trim().trim_matches('"');
-    Some(value.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,24 +194,6 @@ mod tests {
         assert_eq!(read_mean_ms(&j, "lu"), Some(2.0));
         assert_eq!(read_mean_ms(&j, "absent"), None);
         assert_eq!(read_mean_ms("not json", "matmul_512"), None);
-    }
-
-    #[test]
-    fn read_meta_value_round_trips_through_to_json() {
-        let samples =
-            vec![Sample { name: "overhead_only".into(), iters: 1, mean_ns: 1e6, min_ns: 1e6 }];
-        let meta = [
-            ("bench", "bench_kernels".into()),
-            ("host_cpus", "4".into()),
-            ("overhead_only", "true".into()),
-        ];
-        let j = to_json(&meta, &samples);
-        assert_eq!(read_meta_value(&j, "bench").as_deref(), Some("bench_kernels"));
-        assert_eq!(read_meta_value(&j, "host_cpus").as_deref(), Some("4"));
-        // A kernel named like a meta key must not shadow the meta section.
-        assert_eq!(read_meta_value(&j, "overhead_only").as_deref(), Some("true"));
-        assert_eq!(read_meta_value(&j, "absent"), None);
-        assert_eq!(read_meta_value("not json", "bench"), None);
     }
 
     #[test]

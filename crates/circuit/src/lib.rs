@@ -53,7 +53,6 @@
 
 mod dc;
 mod error;
-pub mod export;
 mod netlist;
 mod sparse;
 pub mod topology;
@@ -61,6 +60,5 @@ mod transient;
 
 pub use dc::{dc_solve, DcOperator, DcSolution};
 pub use error::CircuitError;
-pub use export::to_spice;
 pub use netlist::{Circuit, CurrentSourceId, Node, OpampId, OpampModel, VoltageSourceId};
 pub use transient::{transient_solve, TransientConfig, TransientResult};

@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 mod amc_macro;
-pub mod assembler;
 pub mod compiler;
 mod converter;
 mod error;

@@ -3,7 +3,7 @@
 //! The paper's pitch — "in-memory AMC … for its high speed and low power
 //! consumption" — rests on the analog solver's O(1) settling time versus the
 //! O(n³) digital factorization. These models make that comparison concrete
-//! for the scaling bench (EXPERIMENTS.md E8). Constants are order-of-
+//! for the `scaling_model` binary of `gramc-bench`. Constants are order-of-
 //! magnitude values from the in-memory-computing literature (Sun et al.
 //! PNAS 2019; Walden-style converter figures of merit) — absolute numbers
 //! are indicative, scaling shapes are the point.

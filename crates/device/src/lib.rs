@@ -40,12 +40,10 @@ mod fault;
 mod levels;
 mod nmos;
 mod one_t_one_r;
-mod retention;
 mod stanford_pku;
 
 pub use fault::{FaultConfig, FaultKind, FaultPlan};
 pub use levels::{LevelQuantizer, MICRO_SIEMENS};
 pub use nmos::Nmos;
 pub use one_t_one_r::{CellNoise, OneTOneR};
-pub use retention::{EnduranceModel, RetentionModel};
 pub use stanford_pku::{DeviceParams, RramDevice};

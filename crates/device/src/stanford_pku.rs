@@ -22,10 +22,10 @@ const T_AMBIENT: f64 = 300.0;
 
 /// Physical parameters of the Stanford-PKU compact model.
 ///
-/// The defaults are calibrated (see `calibration` test module and
-/// EXPERIMENTS.md) so that the read conductance spans the paper's 1–100 µS
-/// window over 16 levels and a 30 ns pulse train reproduces the Fig. 1
-/// SET/RESET staircases.
+/// The defaults are calibrated (see this file's tests, e.g.
+/// `conductance_window_covers_1_to_100_us`) so that the read conductance
+/// spans the paper's 1–100 µS window over 16 levels and a 30 ns pulse
+/// train reproduces the Fig. 1 SET/RESET staircases.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceParams {
     /// Current prefactor `I0` in amperes.

@@ -59,10 +59,11 @@
 //!    give the same bits; no flag or setting chooses between them.
 //!
 //! The [`parallel`] module is the one switchboard for all of this: the
-//! `parallel` cargo feature (default on) gates thread spawning, and
-//! [`parallel::with_thread_cap`] scopes a deterministic serial fallback
-//! for tests and benchmarks. Because every rung is bit-identical, the
-//! feature flag and cap change speed, never answers.
+//! `GRAMC_THREADS` budget ([`parallel::max_threads`]) sets how many
+//! threads a kernel may spawn, and [`parallel::with_thread_cap`] scopes a
+//! deterministic serial fallback for tests and benchmarks. At a budget of
+//! 1 every kernel runs on the calling thread. Because every rung is
+//! bit-identical, the budget and cap change speed, never answers.
 //!
 //! # Examples
 //!

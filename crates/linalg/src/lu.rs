@@ -63,7 +63,7 @@ impl LuDecomposition {
     /// ([`new_unblocked`](Self::new_unblocked)). Both paths perform the
     /// same eliminations in the same per-element order on the same values,
     /// so they choose identical pivots and produce bit-identical factors —
-    /// with or without the `parallel` feature.
+    /// at any thread budget.
     ///
     /// # Errors
     ///
@@ -309,10 +309,11 @@ impl LuDecomposition {
     /// All columns are forward/back-substituted in place on one row-major
     /// buffer (contiguous row operations, no per-column `Vec` allocation —
     /// the historical column-by-column path cost an allocation plus a
-    /// strided gather/scatter per RHS). With the `parallel` feature and
-    /// enough columns, independent column blocks are solved on scoped
-    /// threads. [`solve`](Self::solve) remains the single-RHS entry point
-    /// and this method matches it column-for-column.
+    /// strided gather/scatter per RHS). With enough columns and a thread
+    /// budget above 1 ([`parallel::current_max_threads`](crate::parallel::current_max_threads)),
+    /// independent column blocks are solved on scoped threads.
+    /// [`solve`](Self::solve) remains the single-RHS entry point and this
+    /// method matches it column-for-column.
     ///
     /// # Errors
     ///
@@ -326,8 +327,8 @@ impl LuDecomposition {
         if m == 0 {
             return Ok(Matrix::zeros(n, 0));
         }
-        let threads = crate::parallel::max_threads();
-        if cfg!(feature = "parallel") && threads > 1 && m >= 2 * PAR_SOLVE_MIN_COLS {
+        let threads = crate::parallel::current_max_threads();
+        if threads > 1 && m >= 2 * PAR_SOLVE_MIN_COLS {
             // Column blocks are independent systems: extract, solve each
             // block in place on its own thread, reassemble. The per-block
             // substitution is identical to the serial path, so results do

@@ -200,7 +200,7 @@ impl Matrix {
     /// vectorizes into `f64x4` ops); smaller shapes use the previous
     /// 4-row blocked kernel ([`matmul_unpacked`](Self::matmul_unpacked)),
     /// whose packing-free setup wins there. Both paths split output row
-    /// blocks over scoped threads with the `parallel` feature (see
+    /// blocks over scoped threads when the thread budget allows (see
     /// [`crate::parallel`]). Each output element accumulates over `k` in
     /// ascending order with separate multiply and add regardless of kernel,
     /// blocking, or thread count, so for finite inputs the result is

@@ -1,22 +1,16 @@
-//! Feature-gated data parallelism built on `std::thread::scope`.
+//! Data parallelism built on `std::thread::scope`.
 //!
-//! The build environment cannot fetch rayon, so the `parallel` cargo feature
-//! (on by default) enables a small scoped-thread fork/join layer with the
-//! same work-splitting shape rayon's `par_chunks_mut` would give us. With
-//! the feature disabled — or on a single-core host, or for work below the
-//! splitting threshold — every helper degrades to the serial loop, so
-//! results are identical either way (the kernels themselves are
-//! deterministic; parallelism only splits disjoint output ranges).
+//! The build environment cannot fetch rayon, so this is a small
+//! scoped-thread fork/join layer with the same work-splitting shape rayon's
+//! `par_chunks_mut` would give us. With a thread budget of 1 — from
+//! `GRAMC_THREADS=1`, a single-core host or a [`with_thread_cap`] scope —
+//! or for work below the splitting threshold, every helper runs the serial
+//! loop on the calling thread, so results are identical either way (the
+//! kernels themselves are deterministic; parallelism only splits disjoint
+//! output ranges).
 //!
 //! Thread count comes from [`max_threads`]: the `GRAMC_THREADS` environment
 //! variable if set, else [`std::thread::available_parallelism`].
-
-/// Whether this build of `gramc-linalg` has the `parallel` feature enabled
-/// (reported by benches; `cfg!` in a downstream crate sees only that
-/// crate's own features).
-pub fn feature_enabled() -> bool {
-    cfg!(feature = "parallel")
-}
 
 /// Maximum worker threads for data-parallel kernels.
 ///
@@ -53,11 +47,13 @@ pub fn current_max_threads() -> usize {
 /// Runs `f` with kernels launched from this thread capped at `cap` worker
 /// threads (on top of the process-wide [`max_threads`]).
 ///
-/// Two users: benches measure the serial behavior of a parallel kernel in the
-/// same process (`with_thread_cap(1, …)`), and nested parallelism — e.g. a
-/// [`map_collect`] whose items each call a threaded `matmul` —
-/// divides the budget between levels instead of oversubscribing the host.
-/// The cap is thread-local and restored on exit (including on panic).
+/// Two users: benches and tests measure the serial behavior of a parallel
+/// kernel in the same process (`with_thread_cap(1, …)`; gramc-runtime's
+/// `Runtime::run_all` then drains on the calling thread too), and nested
+/// parallelism — e.g. a [`map_collect`] whose items each call a threaded
+/// `matmul` — divides the budget between levels instead of oversubscribing
+/// the host. The cap is thread-local and restored on exit (including on
+/// panic).
 pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
@@ -76,29 +72,19 @@ pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
 /// Each worker handles one item and runs under a [`with_thread_cap`] scope
 /// dividing the current budget across items, so an `f` that itself calls
 /// threaded kernels does not oversubscribe the host. Serial (in-order) when
-/// the feature is off, the budget is 1, or there are fewer than two items —
-/// so, as with [`for_each_chunk_mut`], results are identical either way as
-/// long as `f` is deterministic per item.
+/// the budget is 1 or there are fewer than two items — so, as with
+/// [`for_each_chunk_mut`], results are identical either way as long as `f`
+/// is deterministic per item.
 pub fn map_collect<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = threads_for(items.len());
-    if threads <= 1 || items.len() < 2 {
+    if current_max_threads().min(items.len()) <= 1 {
         return items.iter().map(f).collect();
     }
-    map_collect_parallel(items, &f)
-}
-
-#[cfg(feature = "parallel")]
-fn map_collect_parallel<T, R, F>(items: &[T], f: &F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
+    let f = &f;
     let inner_cap = current_max_threads().div_ceil(items.len()).max(1);
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -111,18 +97,9 @@ where
     out.into_iter().map(|r| r.expect("map_collect worker filled its slot")).collect()
 }
 
-#[cfg(not(feature = "parallel"))]
-fn map_collect_parallel<T, R, F>(items: &[T], f: &F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    items.iter().map(f).collect()
-}
-
 /// Runs `f(start_index, chunk)` over `chunk_len`-sized disjoint chunks of
-/// `data`, in parallel when the feature is on and splitting is worthwhile.
+/// `data`, on scoped threads when the budget allows more than one and there
+/// is more than one chunk.
 ///
 /// `start_index` is the offset of `chunk` inside `data`. Chunks are the unit
 /// of scheduling: each worker thread processes a contiguous run of chunks,
@@ -134,38 +111,16 @@ where
 {
     let chunk_len = chunk_len.max(1);
     let n_chunks = data.len().div_ceil(chunk_len).max(1);
-    let threads = threads_for(n_chunks);
+    let threads = current_max_threads().min(n_chunks);
     if threads <= 1 {
         for (c, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(c * chunk_len, chunk);
         }
         return;
     }
-    run_parallel(data, chunk_len, threads, &f);
-}
-
-/// Number of worker threads to use for `pieces` independent work items.
-fn threads_for(pieces: usize) -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        current_max_threads().min(pieces)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = pieces;
-        1
-    }
-}
-
-#[cfg(feature = "parallel")]
-fn run_parallel<T, F>(data: &mut [T], chunk_len: usize, threads: usize, f: &F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
     // Hand each worker a contiguous run of whole chunks, offset-tagged so
     // the callback sees the same indices as the serial path.
-    let n_chunks = data.len().div_ceil(chunk_len);
+    let f = &f;
     let chunks_per_worker = n_chunks.div_ceil(threads);
     let stride = chunks_per_worker * chunk_len;
     std::thread::scope(|scope| {
@@ -184,17 +139,6 @@ where
             offset += take;
         }
     });
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_parallel<T, F>(data: &mut [T], chunk_len: usize, _threads: usize, f: &F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    for (c, chunk) in data.chunks_mut(chunk_len).enumerate() {
-        f(c * chunk_len, chunk);
-    }
 }
 
 #[cfg(test)]

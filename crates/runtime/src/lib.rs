@@ -56,10 +56,11 @@
 //!    replaying the same operations (fixed seeds + fixed placement).
 //! 3. **Dispatch.** [`Runtime::run_all`] drains every queue: one worker per
 //!    shard pops its own deque from the front and, when idle, steals from
-//!    the **back** of a peer's deque (with the `parallel` feature; without
-//!    it the calling thread plays all workers itself — same tickets, same
-//!    results). A stolen job whose ticket is not yet due is pushed back and
-//!    the worker moves on, so workers never block holding work.
+//!    the **back** of a peer's deque (at a thread budget of 1 — see
+//!    [`gramc_linalg::parallel::current_max_threads`] — the calling thread
+//!    plays all workers itself: same tickets, same results). A stolen job
+//!    whose ticket is not yet due is pushed back and the worker moves on,
+//!    so workers never block holding work.
 //! 4. **Wait.** [`JobHandle::wait`] returns the job's
 //!    [`JobOutput`] (or the job's error) once it has retired.
 //!

@@ -9,7 +9,7 @@ use std::time::Duration;
 use gramc_core::tiling::TileMapping;
 use gramc_core::FaultConfig;
 use gramc_core::{CoreError, MacroConfig, MacroGroup, ProbeReport};
-use gramc_linalg::{lu, qr, vector, Matrix};
+use gramc_linalg::{lu, parallel, qr, vector, Matrix};
 use gramc_telemetry::{FlowPhase, HwSnapshot, JournalEvent};
 
 use crate::error::RuntimeError;
@@ -844,11 +844,13 @@ impl Runtime {
 
     // ── the drain loop ────────────────────────────────────────────────
 
-    /// Drains every queue to empty. With the `parallel` feature one scoped
-    /// worker per shard runs concurrently (idle workers steal from the back
-    /// of peers' deques); without it the calling thread plays worker 0 and
-    /// steals everything itself. Either way every shard retires its jobs in
-    /// ticket order, so results are identical.
+    /// Drains every queue to empty. One scoped worker per shard runs
+    /// concurrently (idle workers steal from the back of peers' deques);
+    /// with one shard, or a thread budget of 1
+    /// ([`parallel::current_max_threads`], so `GRAMC_THREADS=1` or an
+    /// enclosing [`parallel::with_thread_cap`]`(1, …)`), the calling thread
+    /// plays worker 0 and steals everything itself. Either way every shard
+    /// retires its jobs in ticket order, so results are identical.
     ///
     /// Job failures are reported through their [`JobHandle`]s, not here —
     /// but a job that *panics* (as opposed to returning an error) retires
@@ -920,10 +922,11 @@ impl Runtime {
         self.telemetry.journal.to_chrome_trace()
     }
 
-    #[cfg(feature = "parallel")]
     fn drain(&self) {
         let workers = self.queues.len();
-        if workers <= 1 {
+        if workers <= 1 || parallel::current_max_threads() <= 1 {
+            // Worker 0 pops its own queue and "steals" every other queue
+            // dry, honoring the same tickets.
             self.worker_loop(0);
             return;
         }
@@ -932,13 +935,6 @@ impl Runtime {
                 scope.spawn(move || self.worker_loop(w));
             }
         });
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn drain(&self) {
-        // Single-threaded fallback: worker 0 pops its own queue and
-        // "steals" every other queue dry, honoring the same tickets.
-        self.worker_loop(0);
     }
 
     /// Runs jobs on worker `w` until every queued job has retired — the one

@@ -3,9 +3,10 @@
 //! that streams [`MetricsSnapshot`](crate::MetricsSnapshot) JSONL while the
 //! server runs.
 //!
-//! [`Runtime::run_all`] is a *batch* drain — it spins workers up, empties
-//! the queues and tears them down, so every caller pays thread start-up and
-//! no submission completes until somebody drains. [`RuntimeServer`] inverts
+//! [`Runtime::run_all`] is a *batch* drain — it spins workers up (unless
+//! the thread budget is 1, when the caller drains alone), empties the
+//! queues and tears them down, so a caller pays thread start-up and no
+//! submission completes until somebody drains. [`RuntimeServer`] inverts
 //! that: one thread per shard runs for the server's whole lifetime,
 //! executing jobs the moment they are due and parking on a condvar when the
 //! queues run dry. `submit_* → JobHandle::wait` then behaves like a real

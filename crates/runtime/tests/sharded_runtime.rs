@@ -91,7 +91,9 @@ fn coalesced_mvms_execute_at_first_submission_point() {
 
 /// Worst-case skew: every job lands on deque 0, targeting operators
 /// spread over all four shards. Only stealing lets the other workers
-/// contribute; all jobs must retire with correct results either way.
+/// contribute; all jobs must retire with correct results either way. A
+/// second drain under a thread cap of 1 runs on the calling thread alone,
+/// as worker 0, which steals every other shard's jobs itself.
 #[test]
 fn skewed_queue_drains_through_stealing() {
     let shards = 4;
@@ -113,23 +115,31 @@ fn skewed_queue_drains_through_stealing() {
     }
     // Explicit batch jobs (bypassing coalescing) so the scheduler sees 40
     // distinct jobs, all on deque 0.
-    let inputs: Vec<Vec<f64>> = (0..40).map(|_| random::normal_vector(&mut rng, 4)).collect();
-    let handles: Vec<_> = inputs
-        .iter()
-        .enumerate()
-        .map(|(k, x)| rt.submit_mvm_batch(ops[k % shards], vec![x.clone()]).unwrap())
-        .collect();
-    assert_eq!(rt.queued_jobs(), 40);
-    let summary = rt.run_all();
-    assert_eq!(summary.executed, 40, "every skewed job must retire");
-    assert_eq!(summary.per_worker.len(), shards);
-    assert_eq!(rt.queued_jobs(), 0);
-    for (k, (x, h)) in inputs.iter().zip(&handles).enumerate() {
-        let y = h.wait_vectors().unwrap().remove(0);
-        // Ideal config: only 8-bit weight quantization separates the
-        // analog result from the true product.
-        let y_ref = mats[k % shards].matvec(x);
-        assert!(vector::rel_error(&y, &y_ref) < 0.05, "job {k}: {y:?} vs {y_ref:?}");
+    for cap in [None, Some(1)] {
+        let inputs: Vec<Vec<f64>> = (0..40).map(|_| random::normal_vector(&mut rng, 4)).collect();
+        let handles: Vec<_> = inputs
+            .iter()
+            .enumerate()
+            .map(|(k, x)| rt.submit_mvm_batch(ops[k % shards], vec![x.clone()]).unwrap())
+            .collect();
+        assert_eq!(rt.queued_jobs(), 40);
+        let summary = match cap {
+            Some(c) => gramc_linalg::parallel::with_thread_cap(c, || rt.run_all()),
+            None => rt.run_all(),
+        };
+        assert_eq!(summary.executed, 40, "every skewed job must retire");
+        assert_eq!(summary.per_worker.len(), shards);
+        if cap.is_some() {
+            assert_eq!(summary.per_worker, [40, 0, 0, 0], "the calling thread drains alone");
+        }
+        assert_eq!(rt.queued_jobs(), 0);
+        for (k, (x, h)) in inputs.iter().zip(&handles).enumerate() {
+            let y = h.wait_vectors().unwrap().remove(0);
+            // Ideal config: only 8-bit weight quantization separates the
+            // analog result from the true product.
+            let y_ref = mats[k % shards].matvec(x);
+            assert!(vector::rel_error(&y, &y_ref) < 0.05, "job {k}: {y:?} vs {y_ref:?}");
+        }
     }
 }
 
@@ -366,28 +376,42 @@ fn hardware_counters_are_invariant_to_worker_thread_count() {
 }
 
 /// Cross-build determinism anchor: one deterministic serving trace, its
-/// outputs folded into a single checksum pinned here. CI runs this exact
-/// test with the `parallel` feature on and off (the single-threaded
-/// scheduler fallback); the constant must hold in both builds, proving
-/// scheduling never perturbs a bit of the analog math. Regenerate (only
-/// after an *intentional* numerics change) by running the test and copying
-/// the reported actual value.
+/// outputs folded into a single checksum pinned here. The trace is drained
+/// twice, on a fresh runtime each time: once under a thread cap of 1 (the
+/// calling thread plays every worker) and once uncapped (one scoped worker
+/// per shard unless `GRAMC_THREADS` is 1). CI runs it at several
+/// budgets and with every crate built for x86-64-v3; the constant must hold
+/// in every case, proving scheduling never perturbs a bit of the analog
+/// math. Regenerate (only after an *intentional* numerics change) by
+/// running the test and copying the reported actual value.
 #[test]
 fn analog_outputs_match_pinned_golden_checksum() {
-    let rt = Runtime::new(2, 2, MacroConfig::small(8), 64);
-    let mut rng = random::seeded_rng(55);
-    let a = random::spd_with_condition(&mut rng, 8, 6.0);
-    let op = rt.load(&a, TileMapping::FourBit, Placement::Pinned(1)).unwrap();
-    let xs: Vec<Vec<f64>> = (0..4).map(|_| random::normal_vector(&mut rng, 8)).collect();
-    let mvms: Vec<_> = xs.iter().map(|x| rt.submit_mvm(op, x.clone()).unwrap()).collect();
-    let solve = rt.submit_solve_inv(op, random::normal_vector(&mut rng, 8)).unwrap();
-    rt.run_all();
+    let run = |cap: Option<usize>| {
+        let rt = Runtime::new(2, 2, MacroConfig::small(8), 64);
+        let mut rng = random::seeded_rng(55);
+        let a = random::spd_with_condition(&mut rng, 8, 6.0);
+        let op = rt.load(&a, TileMapping::FourBit, Placement::Pinned(1)).unwrap();
+        let xs: Vec<Vec<f64>> = (0..4).map(|_| random::normal_vector(&mut rng, 8)).collect();
+        let mvms: Vec<_> = xs.iter().map(|x| rt.submit_mvm(op, x.clone()).unwrap()).collect();
+        let solve = rt.submit_solve_inv(op, random::normal_vector(&mut rng, 8)).unwrap();
+        match cap {
+            Some(c) => gramc_linalg::parallel::with_thread_cap(c, || rt.run_all()),
+            None => rt.run_all(),
+        };
 
-    let mut acc: u64 = 0;
-    for y in mvms.iter().chain(std::iter::once(&solve)) {
-        for v in y.wait_vector().unwrap() {
-            acc = acc.rotate_left(7) ^ v.to_bits();
+        let mut acc: u64 = 0;
+        for y in mvms.iter().chain(std::iter::once(&solve)) {
+            for v in y.wait_vector().unwrap() {
+                acc = acc.rotate_left(7) ^ v.to_bits();
+            }
         }
+        acc
+    };
+    for cap in [Some(1), None] {
+        assert_eq!(
+            run(cap),
+            0x34B7_034A_BDE4_33DF,
+            "analog output checksum drifted across builds (thread cap {cap:?})"
+        );
     }
-    assert_eq!(acc, 0x34B7_034A_BDE4_33DF, "analog output checksum drifted across builds");
 }
