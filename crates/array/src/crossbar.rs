@@ -113,7 +113,7 @@ struct Snapshot {
     g: Matrix,
     /// `gᵀ`, built on the first [`CrossbarArray::row_currents_batch`] of
     /// the generation, its only reader. (A macro group packs the planes of
-    /// its batched MVMs itself; see `gramc_core::MacroGroup::mvm_batch_rows`.)
+    /// its MVMs itself; see `gramc_core::MacroGroup::mvm_batch_rows`.)
     g_t: Option<Matrix>,
 }
 
@@ -144,8 +144,7 @@ const CACHE_SLOTS: usize = 8;
 ///   [`cell_mut`](Self::cell_mut) borrow — the write-verify controller's
 ///   entry point) bumps [`generation`](Self::generation) and drops all
 ///   snapshots;
-/// * [`effective_conductances`](Self::effective_conductances),
-///   [`row_currents`](Self::row_currents) and
+/// * [`effective_conductances`](Self::effective_conductances) and
 ///   [`row_currents_batch`](Self::row_currents_batch) serve from the
 ///   snapshot of their region, rebuilding it only on the first read after a
 ///   mutation.
@@ -595,69 +594,23 @@ impl CrossbarArray {
         self.build_effective_conductances(region)
     }
 
-    /// Analog MVM fast path: drives the region's columns with `v_cols` volts
-    /// and returns the per-row currents `I = G·v` in amperes, with read
-    /// noise aggregated per output.
+    /// Batched analog MVM fast path: every row of `v_batch` is one
+    /// column-voltage drive vector, and row `b` of the output holds the
+    /// per-row currents `I_b = G·v_b` in amperes. The conductance snapshot
+    /// is read **once** for the whole batch and the products run through
+    /// the blocked [`Matrix::matmul`] kernel, so a batch of `B` vectors
+    /// costs one snapshot plus one `(B×cols)·(cols×rows)` product instead
+    /// of `B` matrix reconstructions.
     ///
-    /// For independent multiplicative per-cell read noise of relative sigma
-    /// σ, the output current noise is exactly Gaussian with standard
-    /// deviation `σ·√(Σ_j (G_ij·v_j)²)`, so sampling per-output is
-    /// distribution-exact and O(n) faster than per-cell sampling. (Validated
-    /// against per-cell sampling in tests.)
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::ShapeMismatch`] if `v_cols.len() != region.cols`
-    /// and [`ArrayError::RegionOutOfBounds`] for invalid regions.
-    pub fn row_currents<R: Rng + ?Sized>(
-        &self,
-        region: ActiveRegion,
-        v_cols: &[f64],
-        rng: &mut R,
-    ) -> Result<Vec<f64>, ArrayError> {
-        self.check_region(region)?;
-        if v_cols.len() != region.cols {
-            return Err(ArrayError::ShapeMismatch {
-                expected: (region.cols, 1),
-                found: (v_cols.len(), 1),
-            });
-        }
-        // One settle event biases every cell of the region once.
-        self.telemetry.add_settle_events(1);
-        self.telemetry.add_read_cycles_mvm((region.rows * region.cols) as u64);
-        let sigma = self.config.noise.read_rel_sigma;
-        self.with_snapshot(region, |snap| {
-            let g = &snap.g;
-            let mut out = Vec::with_capacity(region.rows);
-            for i in 0..region.rows {
-                let mut sum = 0.0;
-                let mut var = 0.0;
-                for (j, &gij) in g.row(i).iter().enumerate() {
-                    let term = gij * v_cols[j];
-                    sum += term;
-                    var += term * term;
-                }
-                let noise =
-                    if sigma > 0.0 { sigma * var.sqrt() * standard_normal(rng) } else { 0.0 };
-                out.push(sum + noise);
-            }
-            out
-        })
-    }
-
-    /// Batched analog MVM: every row of `v_batch` is one column-voltage
-    /// drive vector, and row `b` of the output holds the per-row currents
-    /// `I_b = G·v_b`. The conductance snapshot is read **once** for the
-    /// whole batch and the products run through the blocked
-    /// [`Matrix::matmul`] kernel, so a batch of `B` vectors costs one
-    /// snapshot plus one `(B×cols)·(cols×rows)` product instead of `B`
-    /// matrix reconstructions.
-    ///
-    /// Per-output aggregated read noise is applied exactly as in
-    /// [`row_currents`](Self::row_currents), drawing per output in batch-row
-    /// major order — calling this with a batch of `B` vectors is
-    /// bit-identical to `B` sequential `row_currents` calls with the same
-    /// RNG.
+    /// Read noise is aggregated per output. For independent multiplicative
+    /// per-cell read noise of relative sigma σ, the output current noise is
+    /// exactly Gaussian with standard deviation `σ·√(Σ_j (G_ij·v_j)²)`, so
+    /// sampling per output is distribution-exact and O(n) faster than
+    /// per-cell sampling (validated against per-cell sampling in tests).
+    /// The samples are drawn per output in batch-row major order, so a batch
+    /// of `B` vectors gives the bits of `B` one-row batches with the same
+    /// RNG. A macro group's MVM draws the per-cell sample instead (see
+    /// `gramc_core::MacroGroup::mvm_batch_rows`).
     ///
     /// # Errors
     ///
@@ -686,10 +639,9 @@ impl CrossbarArray {
             let g_t = snap.g_t.get_or_insert_with(|| snap.g.transpose());
             let mut out = v_batch.matmul(g_t);
             if sigma > 0.0 {
-                // var_bi = Σ_j (G_ij·v_bj)² — accumulated term-by-term in
-                // the scalar path's order so the noise scale (and hence the
-                // whole output) stays bit-identical to sequential
-                // `row_currents` calls.
+                // var_bi = Σ_j (G_ij·v_bj)², accumulated term by term in
+                // column order, so each drive row's output does not depend
+                // on the batch it arrived in.
                 for b in 0..out.rows() {
                     let v = v_batch.row(b);
                     for i in 0..region.rows {
@@ -793,6 +745,16 @@ mod tests {
         (xbar, rng)
     }
 
+    /// The row currents of one drive vector: a one-row batch.
+    fn one_row_batch(
+        xbar: &CrossbarArray,
+        region: ActiveRegion,
+        v: &[f64],
+        rng: &mut StdRng,
+    ) -> Result<Vec<f64>, ArrayError> {
+        Ok(xbar.row_currents_batch(region, &Matrix::from_rows(&[v]), rng)?.row(0).to_vec())
+    }
+
     #[test]
     fn fresh_array_is_high_resistance() {
         let (xbar, mut rng) = ideal_array(4, 4, 1);
@@ -831,7 +793,7 @@ mod tests {
         let targets = Matrix::from_fn(3, 2, |i, j| q.conductance_of(2 * i + j + 1));
         xbar.program_direct(region, &targets, &q, 0.0, &mut rng).unwrap();
         let v = [0.1, -0.2];
-        let i = xbar.row_currents(region, &v, &mut rng).unwrap();
+        let i = one_row_batch(&xbar, region, &v, &mut rng).unwrap();
         let expected = targets.matvec(&v);
         for (a, b) in i.iter().zip(&expected) {
             assert!((a - b).abs() < 1e-15, "{i:?} vs {expected:?}");
@@ -858,7 +820,7 @@ mod tests {
         let mut cell_sum = 0.0;
         let mut cell_sq = 0.0;
         for _ in 0..n {
-            let fast = xbar.row_currents(region, &v, &mut rng).unwrap()[0];
+            let fast = one_row_batch(&xbar, region, &v, &mut rng).unwrap()[0];
             agg_sum += fast;
             agg_sq += fast * fast;
             // Brute force: sample each cell independently.
@@ -895,8 +857,8 @@ mod tests {
     #[test]
     fn batched_row_currents_bit_identical_to_single_loop() {
         // With read noise ON: the batch draws per output in batch-major
-        // order, so one batched call must reproduce a loop of single calls
-        // against the same seeded RNG, bit for bit.
+        // order, so one batched call must reproduce a loop of one-row
+        // batches against the same seeded RNG, bit for bit.
         let mut rng = StdRng::seed_from_u64(40);
         let mut cfg = ArrayConfig::ideal(6, 5);
         cfg.noise.read_rel_sigma = 0.03;
@@ -911,7 +873,7 @@ mod tests {
         let ys = xbar.row_currents_batch(region, &batch, &mut rng_batch).unwrap();
         let mut rng_loop = StdRng::seed_from_u64(99);
         for b in 0..batch.rows() {
-            let y = xbar.row_currents(region, batch.row(b), &mut rng_loop).unwrap();
+            let y = one_row_batch(&xbar, region, batch.row(b), &mut rng_loop).unwrap();
             for (i, yi) in y.iter().enumerate() {
                 assert!(
                     ys[(b, i)].to_bits() == yi.to_bits(),
@@ -935,13 +897,13 @@ mod tests {
         let g1 = xbar.effective_conductances(region).unwrap();
         assert!(g1.approx_eq(&first, 1e-12));
         // Warm the snapshot again, then mutate.
-        let _ = xbar.row_currents(region, &[0.1, 0.1, 0.1], &mut rng).unwrap();
+        let _ = one_row_batch(&xbar, region, &[0.1, 0.1, 0.1], &mut rng).unwrap();
         let second = Matrix::filled(3, 3, 80.0 * MICRO_SIEMENS);
         xbar.program_direct(region, &second, &q, 0.0, &mut rng).unwrap();
         assert!(xbar.generation() > gen0, "generation must advance on programming");
         let g2 = xbar.effective_conductances(region).unwrap();
         assert!(g2.approx_eq(&second, 1e-12), "stale cache served after program_direct");
-        let i = xbar.row_currents(region, &[1.0, 0.0, 0.0], &mut rng).unwrap();
+        let i = one_row_batch(&xbar, region, &[1.0, 0.0, 0.0], &mut rng).unwrap();
         assert!((i[0] - 80.0 * MICRO_SIEMENS).abs() < 1e-12, "stale current {i:?}");
     }
 
@@ -1038,7 +1000,7 @@ mod tests {
     fn voltage_length_is_validated() {
         let (xbar, mut rng) = ideal_array(3, 2, 8);
         let region = ActiveRegion::full(3, 2);
-        assert!(xbar.row_currents(region, &[0.1], &mut rng).is_err());
+        assert!(one_row_batch(&xbar, region, &[0.1], &mut rng).is_err());
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //! **generation-tagged snapshot cache** with a strict invalidation
 //! contract:
 //!
-//! * **Reads are cached.** [`CrossbarArray::effective_conductances`],
-//!   [`CrossbarArray::row_currents`] and the batched
-//!   [`CrossbarArray::row_currents_batch`] all serve from a per-region
-//!   snapshot, rebuilding it only on the first read after a mutation.
+//! * **Reads are cached.** [`CrossbarArray::effective_conductances`] and
+//!   the batched [`CrossbarArray::row_currents_batch`] serve from a
+//!   per-region snapshot, rebuilding it only on the first read after a
+//!   mutation.
 //! * **Mutations invalidate.** [`CrossbarArray::program_direct`] and every
 //!   [`CrossbarArray::cell_mut`] borrow (the write-verify controller's
 //!   entry point) bump [`CrossbarArray::generation`] and drop all
@@ -41,12 +41,12 @@
 //!   (conductance drift) invalidate the cache the same way a programming
 //!   pass does, so snapshots never serve a stale fault state.
 //!
-//! The batched entry points take a `Matrix` whose rows are drive vectors,
-//! amortize one snapshot (plus one transpose) over the whole batch, and
-//! run the products through `gramc_linalg`'s blocked matmul. Their outputs
-//! are bit-identical to looping the scalar calls with the same RNG — the
-//! regression tests in `crossbar.rs` pin both properties (bit-equality and
-//! stale-cache invalidation).
+//! The batched read takes a `Matrix` whose rows are drive vectors,
+//! amortizes one snapshot (plus one transpose) over the whole batch, and
+//! runs the products through `gramc_linalg`'s blocked matmul. A batch of
+//! `B` drive vectors gives the bits of `B` one-row batches with the same
+//! RNG — the regression tests in `crossbar.rs` pin both properties
+//! (bit-equality and stale-cache invalidation).
 //!
 //! # Examples
 //!

@@ -566,21 +566,22 @@ fn main() {
     let targets = Matrix::from_fn(128, 128, |i, j| q.conductance_of((i * 7 + j) % 16));
     xbar.program_direct(region, &targets, &q, 0.0, &mut arr_rng).unwrap();
     let v: Vec<f64> = (0..128).map(|j| ((j as f64) * 0.21).sin() * 0.2).collect();
+    let drive = Matrix::from_rows(&[v.as_slice()]);
     let batch = Matrix::from_fn(64, 128, |b, j| ((b * 128 + j) as f64 * 0.13).sin() * 0.2);
 
     r.bench("mvm_uncached_128", || {
-        // What row_currents cost before the cache: rebuild G, then multiply.
+        // What a read cost before the cache: rebuild G, then multiply.
         let g = xbar.effective_conductances_uncached(region).unwrap();
         g.matvec(&v)
     });
-    r.bench("mvm_cached_128", || xbar.row_currents(region, &v, &mut arr_rng).unwrap());
+    r.bench("mvm_cached_128", || xbar.row_currents_batch(region, &drive, &mut arr_rng).unwrap());
     let uncached_per_mvm = r.mean_ms("mvm_uncached_128");
     let s = r.bench("mvm_batched_64x128", || {
         xbar.row_currents_batch(region, &batch, &mut arr_rng).unwrap()
     });
     let batched_per_mvm = s.mean_ms() / 64.0;
 
-    // ── analog macro: scalar mvm loop vs mvm_batch at the paper dimension.
+    // ── analog macro: 32 one-row mvm calls vs one 32-row mvm_batch.
     let mut group = MacroGroup::new(2, MacroConfig::small_ideal(64), 3);
     let mut rng2 = random::seeded_rng(4);
     let a64 = random::gaussian_matrix(&mut rng2, 64, 64);

@@ -7,9 +7,9 @@
 //! them ("all matrices were mapped to one or two RRAM arrays with 4-bit
 //! quantization") and executes the four primitives:
 //!
-//! * [`MacroGroup::mvm`] — crossbar fast path (exact TIA mathematics with
-//!   aggregated read noise; validated against full MNA by
-//!   [`MacroGroup::mvm_mna`]),
+//! * [`MacroGroup::mvm`] — crossbar fast path, a one-row
+//!   [`MacroGroup::mvm_batch_rows`] (exact TIA mathematics with per-cell
+//!   read noise; validated against full MNA by [`MacroGroup::mvm_mna`]),
 //! * [`MacroGroup::solve_inv`] — full MNA solve of the INV feedback circuit,
 //! * [`MacroGroup::solve_pinv`] — full MNA solve of the two-array cascade,
 //! * [`MacroGroup::solve_egv`] — the clipped-eigenvector fixed point of the
@@ -222,7 +222,7 @@ struct Operator {
     /// operator; the next solve in that mode refactors it (only the read
     /// noise differs).
     resident: Option<Resident>,
-    /// The noise-free planes packed for batched MVMs (see
+    /// The noise-free planes packed for MVMs (see
     /// [`MacroGroup::mvm_batch_rows`]).
     panel: Option<PlanePanel>,
     freed: bool,
@@ -665,74 +665,21 @@ impl MacroGroup {
         scale / (self.quantizer.step() * v_scale)
     }
 
-    /// Analog MVM: `y = A·x` through the crossbar fast path with DAC/ADC
-    /// quantization, read noise and TIA offsets. Bit-sliced operators are
-    /// recombined digitally (`16·hi + lo`).
+    /// Analog MVM `y = A·x`: a one-row [`mvm_batch_rows`](Self::mvm_batch_rows),
+    /// so it quantizes through the DACs and ADCs, draws the per-cell read
+    /// noise (and read disturb) sample, adds the TIA offsets and recombines
+    /// bit-sliced operators digitally (`16·hi + lo`) exactly as a batch does.
+    /// The answer is also captured in the output buffer of the macro holding
+    /// the operator's first plane (Fig. 2's read-out path).
     ///
     /// # Errors
     ///
     /// [`CoreError::ShapeMismatch`] if `x.len()` differs from the operator's
     /// column count, plus stale-handle errors.
     pub fn mvm(&mut self, id: OperatorId, x: &[f64]) -> Result<Vec<f64>, CoreError> {
-        let op = self.operator(id)?;
-        let (rows, cols, scale, nplanes) =
-            (op.info.rows, op.info.cols, op.info.scale, op.info.planes);
-        if x.len() != cols {
-            return Err(CoreError::ShapeMismatch { expected: cols, found: x.len() });
-        }
-        let planes = op.planes.clone();
-        self.configure_operator(id, MacroMode::Mvm)?;
-
-        let x_max = vector::norm_inf(x);
-        if x_max == 0.0 {
-            return Ok(vec![0.0; rows]);
-        }
-        let v_scale = self.config.v_read / x_max;
-        // All planes share the DAC drive.
-        let dac = self.macros[planes[0].macro_id].dac;
-        let v: Vec<f64> = x.iter().map(|&xi| dac.convert(xi / x_max)).collect();
-        // One DAC drive per input column, shared across planes; one ADC
-        // conversion per row per differential pair. Settles and cell reads
-        // are counted by `row_currents` inside the array.
-        self.telemetry.add_dac_drives(cols as u64);
-        self.telemetry.add_adc_conversions((rows * (nplanes / 2)) as u64);
-
-        // Per-plane row currents.
-        let mut currents = Vec::with_capacity(nplanes);
-        for p in &planes {
-            let i = self.macros[p.macro_id]
-                .array
-                .row_currents(p.region, &v, &mut self.rng)
-                .map_err(CoreError::from)?;
-            currents.push(i);
-        }
-
-        // TIA feedback sized at load time for the worst-case row current.
-        let op_ref = self.operator(id)?;
-        let g_f = op_ref.g_f;
-        let adc = self.macros[planes[0].macro_id].adc;
-        let conv = self.current_decode(scale, v_scale);
-        let mut y = Vec::with_capacity(rows);
-        for i in 0..rows {
-            // Each differential pair is captured by its own TIA + ADC; the
-            // nibble shift-add (×16) happens digitally AFTER conversion —
-            // an analog ×16 would blow past the converter rails, which is
-            // the entire reason bit slicing recombines digitally.
-            let mut pair_values = Vec::with_capacity(nplanes / 2);
-            for pair in 0..nplanes / 2 {
-                let i_diff = currents[2 * pair][i] - currents[2 * pair + 1][i];
-                let v_out = -i_diff / g_f + op_ref.output_offsets[i];
-                pair_values.push(adc.convert(v_out) * adc.v_ref());
-            }
-            let v_combined = match nplanes {
-                2 => pair_values[0],
-                4 => 16.0 * pair_values[0] + pair_values[1],
-                _ => unreachable!("operators have 2 or 4 planes"),
-            };
-            y.push(-v_combined * g_f * conv);
-        }
-        // Capture into the macro's output buffer (Fig. 2's read-out path).
-        self.macros[planes[0].macro_id].output_buffer = y.clone();
+        let macro_id = self.operator(id)?.planes[0].macro_id;
+        let y = self.mvm_batch_rows(id, &Matrix::from_rows(&[x]))?.row(0).to_vec();
+        self.macros[macro_id].output_buffer = y.clone();
         Ok(y)
     }
 
@@ -741,9 +688,10 @@ impl MacroGroup {
     /// network inference, where a layer evaluates hundreds of im2col columns
     /// back to back and the array state cannot change between them.
     ///
-    /// Semantically equivalent to calling [`mvm`](Self::mvm) per column with
-    /// a shared noise draw; converter quantization and TIA offsets are
-    /// applied per column exactly as in the scalar path.
+    /// Equivalent to calling [`mvm`](Self::mvm) per input with one shared
+    /// noise draw: without read noise, row `b` of the answer is the bits
+    /// `mvm` returns for input `b`; with it, each `mvm` call draws its own
+    /// sample.
     ///
     /// # Errors
     ///
@@ -846,7 +794,7 @@ impl MacroGroup {
         if driven == 0 {
             return Ok(out);
         }
-        // Both reads include the IR-drop correction, like the scalar `mvm`.
+        // Both reads include the IR-drop correction.
         let currents = if self.config.nonideal.read_noise_rel != 0.0 {
             let reads = planes
                 .iter()
@@ -860,10 +808,10 @@ impl MacroGroup {
         } else {
             self.plane_panel(id)?.left_mul(&v_mat)
         };
-        // The batch path reads conductances directly (no `row_currents`), so
-        // the macro itself accounts for the per-driven-row analog events:
-        // each nonzero batch row drives the DACs once, settles every plane,
-        // reads every cell of every plane, and converts rows × pairs ADCs.
+        // The macro reads conductances directly, so it accounts for the
+        // per-driven-row analog events itself: each nonzero batch row drives
+        // the DACs once, settles every plane, reads every cell of every
+        // plane, and converts rows × pairs ADCs.
         self.telemetry.add_dac_drives(driven * cols as u64);
         self.telemetry.add_settle_events(driven * nplanes as u64);
         self.telemetry.add_read_cycles_mvm(driven * (nplanes * rows * cols) as u64);
@@ -881,6 +829,8 @@ impl MacroGroup {
                 adc.convert(-i_diff / g_f + output_offsets[i]) * adc.v_ref()
             };
             for (i, yi) in out.row_mut(b).iter_mut().enumerate() {
+                // Bit slices recombine digitally, after conversion: an
+                // analog ×16 would drive the hi pair past the ADC rails.
                 let v_combined = match nplanes {
                     2 => read(0, i),
                     4 => 16.0 * read(0, i) + read(1, i),
@@ -1841,6 +1791,73 @@ mod tests {
                     portable.hw_snapshot().since(&before_p),
                     "{name}, batch of {bsz}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn mvm_is_a_one_row_batch() {
+        // `MacroGroup::mvm` and `TiledOperator::mvm` on one group against a
+        // one-row `mvm_batch_rows` on a twin seeded alike, so noisy reads
+        // draw the same samples: every output and every hardware counter,
+        // bit for bit, read noise and read disturb included.
+        use crate::tiling::{TileMapping, TiledOperator};
+
+        let disturb = FaultConfig {
+            read_disturb_prob: 0.3,
+            read_disturb_frac: 0.2,
+            ..FaultConfig::default()
+        };
+        let (q4, paper) =
+            (NonidealityConfig::quantization_only(4), NonidealityConfig::paper_default());
+        let ir_drop = NonidealityConfig { wire_resistance: 50.0, ..q4.clone() };
+        let configs = [
+            ("ideal", NonidealityConfig::ideal(), false, None),
+            ("bit-sliced quantization_only(4)", q4, true, None),
+            ("quantization_only(4) with IR drop", ir_drop, false, None),
+            ("paper_default", paper.clone(), false, None),
+            ("paper_default with read disturb", paper, false, Some(disturb)),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (name, nonideal, bitsliced, faults) in configs {
+            let mut rng = seeded_rng(73);
+            let a = random::gaussian_matrix(&mut rng, 10, 12);
+            // A 2×2 grid of tiles on 12×12 arrays.
+            let big = random::gaussian_matrix(&mut rng, 20, 24);
+            let twin = || {
+                let cfg = MacroConfig { nonideal: nonideal.clone(), ..MacroConfig::small(12) };
+                let mut g = MacroGroup::new(20, cfg, 74);
+                let (op, mapping) = if bitsliced {
+                    (g.load_matrix_bitsliced(&a), TileMapping::BitSlicedInt8)
+                } else {
+                    (g.load_matrix(&a), TileMapping::FourBit)
+                };
+                let tiled = TiledOperator::load(&mut g, &big, mapping).unwrap();
+                if let Some(cfg) = &faults {
+                    g.inject_faults(cfg, 75);
+                }
+                (g, op.unwrap(), tiled)
+            };
+            let ((mut scalar, op, tiled), (mut batched, _, tiled_twin)) = (twin(), twin());
+            assert_eq!(tiled.tile_count(), 4);
+            for _ in 0..3 {
+                let x = random::normal_vector(&mut rng, 12);
+                let (before_s, before_b) = (scalar.hw_snapshot(), batched.hw_snapshot());
+                let got = scalar.mvm(op, &x).unwrap();
+                let want = batched.mvm_batch_rows(op, &Matrix::from_rows(&[&x])).unwrap();
+                assert_eq!(bits(&got), bits(want.row(0)), "{name}");
+                let delta = scalar.hw_snapshot().since(&before_s);
+                assert_eq!(delta, batched.hw_snapshot().since(&before_b), "{name}");
+                let first_macro = scalar.operators[op.0].planes[0].macro_id;
+                assert_eq!(scalar.macros[first_macro].output_buffer, got, "{name}");
+
+                let x = random::normal_vector(&mut rng, 24);
+                let (before_s, before_b) = (scalar.hw_snapshot(), batched.hw_snapshot());
+                let got = tiled.mvm(&mut scalar, &x).unwrap();
+                let want = tiled_twin.mvm_batch_rows(&mut batched, &Matrix::from_rows(&[&x]));
+                assert_eq!(bits(&got), bits(want.unwrap().row(0)), "{name}, tiled");
+                let delta = scalar.hw_snapshot().since(&before_s);
+                assert_eq!(delta, batched.hw_snapshot().since(&before_b), "{name}, tiled");
             }
         }
     }

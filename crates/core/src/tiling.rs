@@ -111,33 +111,16 @@ impl TiledOperator {
         self.tiles.iter().map(Vec::len).sum()
     }
 
-    /// Tiled analog MVM: every tile computes its partial product on its own
-    /// macro and the partials are accumulated digitally.
+    /// Tiled analog MVM, a one-row [`mvm_batch_rows`](Self::mvm_batch_rows):
+    /// every tile computes its partial product on its own macro and the
+    /// partials are accumulated digitally.
     ///
     /// # Errors
     ///
     /// [`CoreError::ShapeMismatch`] for wrong input length; stale-handle
     /// errors after [`free`](Self::free).
     pub fn mvm(&self, group: &mut MacroGroup, x: &[f64]) -> Result<Vec<f64>, CoreError> {
-        if self.freed {
-            return Err(CoreError::InvalidOperator);
-        }
-        if x.len() != self.cols {
-            return Err(CoreError::ShapeMismatch { expected: self.cols, found: x.len() });
-        }
-        let mut y = vec![0.0; self.rows];
-        for (ri, &r0) in self.row_starts.iter().enumerate() {
-            for (ci, &c0) in self.col_starts.iter().enumerate() {
-                let id = self.tiles[ri][ci];
-                let info = group.operator_info(id)?;
-                let (tr, tc) = (info.rows, info.cols);
-                let partial = group.mvm(id, &x[c0..c0 + tc])?;
-                for (k, p) in partial.iter().enumerate().take(tr) {
-                    y[r0 + k] += p;
-                }
-            }
-        }
-        Ok(y)
+        Ok(self.mvm_batch_rows(group, &Matrix::from_rows(&[x]))?.row(0).to_vec())
     }
 
     /// Tiled batched MVM: each tile reads its conductances once for the

@@ -108,7 +108,9 @@ fn crossbar_fast_path_equals_conductance_matvec() {
         let region = ActiveRegion::full(3, 3);
         let targets = Matrix::from_fn(3, 3, |i, j| q.conductance_of(levels[i * 3 + j]));
         xbar.program_direct(region, &targets, &q, 0.0, &mut xbar_rng).unwrap();
-        let i_fast = xbar.row_currents(region, &v, &mut xbar_rng).unwrap();
+        let drive = Matrix::from_rows(&[v.as_slice()]);
+        let i_fast =
+            xbar.row_currents_batch(region, &drive, &mut xbar_rng).unwrap().row(0).to_vec();
         let i_ref = targets.matvec(&v);
         for (a, b) in i_fast.iter().zip(&i_ref) {
             assert!((a - b).abs() < 1e-12, "case {case}: {i_fast:?} vs {i_ref:?}");
